@@ -15,9 +15,8 @@ from .ordering import (brute_force_ordering, dijkstra_ordering, gain_ordering,
                        random_ordering, shortest_path_distances)
 from .power import (SlotProblem, ea_lp, mia_barrier, solve_slot,
                     waterfill_single_receiver)
-from .schedule import (CostMatrix, SlotCache, SolveResult, UnconstrainedResult,
-                       UnicastResult, UnicastTable, dmect_go,
-                       dmect_unconstrained, link_power_matrix, unicast_ea)
+from .schedule import (CostMatrix, SlotCache, SolveResult, UnicastResult,
+                       UnicastTable, dmect_go, link_power_matrix, unicast_ea)
 
 __version__ = "0.1.0"
 
@@ -26,9 +25,9 @@ __all__ = [
     "DisconnectedError", "DmectError", "InfeasibleError", "Instance",
     "Ordering", "PowerAllocation", "Schedule", "Slot", "SlotCache",
     "SlotProblem", "SolveResult", "SolverConvergenceError", "TopologyConfig",
-    "UnconstrainedResult", "UnicastResult", "UnicastTable", "Verdict",
+    "UnicastResult", "UnicastTable", "Verdict",
     "accumulated_info", "broadcast_destinations", "brute_force_ordering",
-    "dijkstra_ordering", "dmect_go", "dmect_unconstrained", "ea_lp",
+    "dijkstra_ordering", "dmect_go", "ea_lp",
     "ea_vertex_optimum", "exact_integral_slot", "exhaustive_global",
     "exhaustive_partition", "gain_ordering", "generate", "greedy_slot",
     "instance_from_dict", "instance_to_dict", "link_power_matrix",

@@ -61,7 +61,8 @@ def greedy_slot(senders, receivers, instance: Instance) -> tuple[PowerAllocation
     return alloc, assignment
 
 
-def _greedy_solver(instance: Instance, senders: frozenset, receivers: frozenset) -> PowerAllocation:
+def greedy_solver(instance: Instance, senders: frozenset, receivers: frozenset) -> PowerAllocation:
+    """Slot allocator for SlotCache: the greedy allocation alone."""
     return greedy_slot(senders, receivers, instance)[0]
 
 
@@ -73,5 +74,5 @@ def noncoop_solve(instance: Instance, ordering: Ordering, T: int,
     cost can never beat the cooperative solution.
     """
     if cache is None:
-        cache = SlotCache(instance, solver=_greedy_solver)
+        cache = SlotCache(instance, solver=greedy_solver)
     return dmect_go(instance, ordering, T, cache=cache)

@@ -1,10 +1,11 @@
 """Command-line front end: generate, solve, sweep, compare, spot-check.
 
 Exit codes: 0 success, 2 infeasible, 3 usage or input error, 4 brute-force
-cap exceeded. Floats in CSV output carry 9 significant digits and rows are
-emitted in sorted key order, so output is byte-deterministic for fixed
-flags and seed (the runtime_ms column excepted). Relative --out paths are
-resolved against $DMECT_OUT_DIR when it is set.
+cap exceeded, 5 solver or internal error. Floats in CSV output carry 9
+significant digits and rows are emitted in sorted key order, so output is
+byte-deterministic for fixed flags and seed (the runtime_ms column
+excepted). Relative --out paths are resolved against $DMECT_OUT_DIR when
+it is set.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 import click
 
 from . import netgen, ordering as ordering_mod
-from .baseline import noncoop_solve
+from .baseline import greedy_solver, noncoop_solve
 from .errors import CapExceededError, DmectError, InfeasibleError
 from .model import (Accumulation, Instance, Ordering, broadcast_destinations,
                     instance_to_dict, load_instance, schedule_to_dict,
@@ -199,12 +200,13 @@ def cmd_sweep(instance_file, t_min, t_max, accums, solvers, out):
     for accum in sorted(set(accums)):
         inst = dataclasses.replace(base, accumulation=Accumulation(accum))
         for solver in sorted(set(solvers)):
-            run = noncoop_solve if solver == "noncoop" else dmect_go
-            cache = SlotCache(inst) if solver == "coop" else None
+            if solver == "noncoop":
+                run, cache = noncoop_solve, SlotCache(inst, solver=greedy_solver)
+            else:
+                run, cache = dmect_go, SlotCache(inst)
             for T in range(t_min, t_max + 1):
                 start = time.perf_counter()
-                result = run(inst, order, T) if cache is None \
-                    else run(inst, order, T, cache=cache)
+                result = run(inst, order, T, cache=cache)
                 ms = (time.perf_counter() - start) * 1e3
                 cost = "inf" if math.isinf(result.cost) else _fmt(result.cost)
                 rows.append((T, accum, solver, cost, _fmt(ms)))
@@ -230,7 +232,7 @@ def cmd_compare_ordering(n, instances, t_slots, seed, eta, theta, out):
         inst = netgen.generate(netgen.TopologyConfig(n=n, eta=eta, seed=seed + i,
                                                      theta=theta))
         cache = SlotCache(inst)
-        _, brute_cost = ordering_mod.brute_force_ordering(inst, t_slots)
+        _, brute_cost = ordering_mod.brute_force_ordering(inst, t_slots, cache=cache)
         dij = dmect_go(inst, ordering_mod.dijkstra_ordering(inst), t_slots,
                        cache=cache).cost
         ratio = dij / brute_cost
@@ -259,21 +261,9 @@ def cmd_oracle(instance_file, t_slots, scope, ordering_sel):
         solver = dmect_go(instance, order, t_slots, cache=cache).cost
     else:
         reference = exhaustive_global(instance, t_slots, cache=cache)
-        solver, _ = _min_over_orderings(instance, t_slots, cache)
+        _, solver = ordering_mod.brute_force_ordering(instance, t_slots, cache=cache)
     click.echo(f"oracle={_fmt(reference)} solver={_fmt(solver)} "
                f"delta={_fmt(abs(reference - solver))}")
-
-
-def _min_over_orderings(instance, T, cache):
-    best, order = math.inf, None
-    import itertools
-    rest = sorted(i for i in range(instance.n) if i != instance.source)
-    for perm in itertools.permutations(rest):
-        o = Ordering(order=(instance.source, *perm))
-        c = dmect_go(instance, o, T, cache=cache).cost
-        if c < best:
-            best, order = c, o
-    return best, order
 
 
 def main(argv=None) -> int:
@@ -282,9 +272,6 @@ def main(argv=None) -> int:
         cli.main(args=argv, prog_name="dmect", standalone_mode=False)
     except click.exceptions.Exit as e:
         return int(e.exit_code)
-    except click.UsageError as e:
-        e.show()
-        return 3
     except click.ClickException as e:
         e.show()
         return 3
@@ -297,6 +284,9 @@ def main(argv=None) -> int:
     except CapExceededError as e:
         click.echo(f"cap exceeded: {e}", err=True)
         return 4
+    except DmectError as e:
+        click.echo(f"solver error: {e}", err=True)
+        return 5
     except (ValueError, OSError, json.JSONDecodeError) as e:
         click.echo(f"error: {e}", err=True)
         return 3

@@ -9,12 +9,16 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+
+# largest theta whose e^theta - 1 is still a finite float
+_THETA_MAX = math.log(sys.float_info.max)
 
 
 class Accumulation(str, Enum):
@@ -74,8 +78,9 @@ class Instance:
         object.__setattr__(self, "destinations", dests)
 
         theta = float(self.theta)
-        if not (theta > 0.0 and math.isfinite(theta)):
-            raise ValueError(f"theta must be positive and finite, got {theta}")
+        if not 0.0 < theta <= _THETA_MAX:
+            raise ValueError(f"theta must be positive with finite e^theta - 1, "
+                             f"got {theta}")
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "accumulation", Accumulation(self.accumulation))
 

@@ -65,15 +65,18 @@ def gain_ordering(instance: Instance) -> Ordering:
 
 
 def brute_force_ordering(instance: Instance, T: int,
-                         cap: int = BRUTE_FORCE_CAP) -> tuple[Ordering, float]:
+                         cache: SlotCache | None = None) -> tuple[Ordering, float]:
     """Exhaustive minimum over all (n-1)! source-first orderings.
 
-    Slot optima are shared across orderings through one cache. Ties keep
-    the lexicographically smallest ordering.
+    Slot optima are shared across orderings through one cache; pass a
+    shared ``cache`` to keep them for later solves on the same instance.
+    Ties keep the lexicographically smallest ordering.
     """
-    if instance.n > cap:
-        raise CapExceededError(f"n={instance.n} exceeds the brute-force cap {cap}")
-    cache = SlotCache(instance)
+    if instance.n > BRUTE_FORCE_CAP:
+        raise CapExceededError(
+            f"n={instance.n} exceeds the brute-force cap {BRUTE_FORCE_CAP}")
+    if cache is None:
+        cache = SlotCache(instance)
     rest = sorted(i for i in range(instance.n) if i != instance.source)
     best_order = None
     best_cost = np.inf

@@ -86,7 +86,6 @@ def solve_slot(problem: SlotProblem) -> PowerAllocation:
     """Optimal slot allocation; empty receiver set costs exactly zero."""
     if not problem.receivers:
         return EMPTY_ALLOCATION
-    _check_reachable(problem)
     if problem.accumulation is Accumulation.EA:
         return ea_lp(problem)
     return mia_barrier(problem)

@@ -110,15 +110,6 @@ def _target_position(instance: Instance, ordering: Ordering) -> int:
     return 1 + max(ordering.position[d] for d in instance.destinations)
 
 
-def _check_solver_inputs(instance: Instance, ordering: Ordering, T: int) -> None:
-    if len(ordering.order) != instance.n:
-        raise ValueError("ordering length does not match the instance")
-    if ordering.order[0] != instance.source:
-        raise ValueError("ordering must start at the source")
-    if T < 1:
-        raise ValueError(f"need at least one slot, got T={T}")
-
-
 def _reconstruct(cache: SlotCache, order, argmin, target: int, T: int) -> Schedule:
     slots = []
     j, t = target, T
@@ -141,10 +132,16 @@ def dmect_go(instance: Instance, ordering: Ordering, T: int,
     """Minimum-energy schedule within T slots under the given ordering.
 
     The DP target is the highest-ordered destination; nodes ordered past it
-    are never covered. Pass a shared ``cache`` to reuse slot optima across
-    calls on the same instance.
+    are never covered. T = n - 1 solves the problem with no deadline, since
+    every useful slot decodes at least one new node. Pass a shared
+    ``cache`` to reuse slot optima across calls on the same instance.
     """
-    _check_solver_inputs(instance, ordering, T)
+    if len(ordering.order) != instance.n:
+        raise ValueError("ordering length does not match the instance")
+    if ordering.order[0] != instance.source:
+        raise ValueError("ordering must start at the source")
+    if T < 1:
+        raise ValueError(f"need at least one slot, got T={T}")
     if cache is None:
         cache = SlotCache(instance)
     order = ordering.order
@@ -172,67 +169,6 @@ def dmect_go(instance: Instance, ordering: Ordering, T: int,
                            target=target, blocked=blocked)
     schedule = _reconstruct(cache, order, argmin, target, T)
     return SolveResult(cost=total, schedule=schedule, table=table, target=target)
-
-
-@dataclass(frozen=True)
-class UnconstrainedResult:
-    """Outcome of the no-deadline solve; costs/parent are 1-based prefix tables."""
-
-    cost: float
-    schedule: Schedule | None
-    costs: np.ndarray
-    parent: np.ndarray
-    target: int
-    blocked: int | None = None
-
-
-def dmect_unconstrained(instance: Instance, ordering: Ordering,
-                        cache: SlotCache | None = None) -> UnconstrainedResult:
-    """Minimum-energy schedule with no slot budget under the given ordering.
-
-    With unlimited slots every slot may as well decode at least one new
-    node, so the recursion drops the time axis:
-
-        C[j] = min_{k < j}  C[k] + cp(prefix k, positions k+1..j)
-
-    This equals dmect_go with T = n - 1.
-    """
-    _check_solver_inputs(instance, ordering, 1)
-    if cache is None:
-        cache = SlotCache(instance)
-    order = ordering.order
-    target = _target_position(instance, ordering)
-    m = _slot_cost_matrix(cache, order, target)
-
-    costs = np.full(target + 1, np.inf)
-    parent = np.full(target + 1, -1, dtype=int)
-    costs[1] = 0.0
-    for j in range(2, target + 1):
-        vals = costs[1:j] + m[1:j, j]
-        k = int(np.argmin(vals)) + 1
-        costs[j] = vals[k - 1]
-        if np.isfinite(costs[j]):
-            parent[j] = k
-
-    total = float(costs[target])
-    if not math.isfinite(total):
-        blocked = next(j for j in range(2, target + 1) if not np.isfinite(costs[j]))
-        return UnconstrainedResult(cost=math.inf, schedule=None, costs=costs,
-                                   parent=parent, target=target, blocked=blocked)
-    slots = []
-    j = target
-    while j > 1:
-        k = int(parent[j])
-        senders = frozenset(order[:k])
-        receivers = frozenset(order[k:j])
-        alloc = cache.allocation(senders, receivers)
-        slots.append(Slot(senders=frozenset(alloc.powers),
-                          receivers=receivers,
-                          powers=dict(alloc.powers)))
-        j = k
-    slots.reverse()
-    return UnconstrainedResult(cost=total, schedule=Schedule(slots=tuple(slots)),
-                               costs=costs, parent=parent, target=target)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ import math
 import numpy as np
 import pytest
 
-from dmect import (instance_from_dict, load_instance, save_instance,
-                   schedule_from_dict, unicast_ea, verify_schedule)
+import dmect.schedule
+from dmect import (SolverConvergenceError, instance_from_dict, instance_to_dict,
+                   load_instance, save_instance, schedule_from_dict, unicast_ea,
+                   verify_schedule)
 from dmect.cli import main
 from conftest import topo
 
@@ -149,6 +151,26 @@ def test_solve_disconnected_is_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "solve", str(path))
     assert code == 2
     assert "infeasible" in err
+
+
+def test_solve_theta_overflow_is_exit_3(capsys, tmp_path):
+    d = instance_to_dict(topo(4, seed=1))
+    d["theta"] = 800.0   # e^theta - 1 overflows a float
+    path = tmp_path / "hot.json"
+    path.write_text(json.dumps(d))
+    code, _, err = run(capsys, "solve", str(path))
+    assert code == 3
+    assert "theta" in err and "Traceback" not in err
+
+
+def test_solver_failure_is_exit_5(capsys, inst_file, monkeypatch):
+    def diverge(problem):
+        raise SolverConvergenceError("covering LP: dual unbounded")
+    monkeypatch.setattr(dmect.schedule, "solve_slot", diverge)
+    code, out, err = run(capsys, "solve", inst_file)
+    assert code == 5
+    assert out == ""
+    assert err == "solver error: covering LP: dual unbounded\n"
 
 
 def test_solve_usage_errors(capsys, inst_file, tmp_path):

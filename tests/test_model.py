@@ -47,8 +47,10 @@ def test_instance_rejects_bad_task_fields():
         Instance(n=3, gains=g, source=0, destinations=frozenset(), theta=1.0)
     with pytest.raises(ValueError, match="source cannot"):
         Instance(n=3, gains=g, source=0, destinations=frozenset({0, 1}), theta=1.0)
-    with pytest.raises(ValueError, match="theta"):
-        Instance(n=3, gains=g, source=0, destinations=frozenset({1}), theta=0.0)
+    for theta in (0.0, 800.0):   # 800 overflows e^theta - 1
+        with pytest.raises(ValueError, match="theta"):
+            Instance(n=3, gains=g, source=0, destinations=frozenset({1}),
+                     theta=theta)
 
 
 def test_instance_gains_are_frozen(line3):

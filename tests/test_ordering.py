@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from dmect import (CapExceededError, DisconnectedError, Instance,
+from dmect import (CapExceededError, DisconnectedError, Instance, SlotCache,
                    brute_force_ordering, dijkstra_ordering, dmect_go,
                    gain_ordering, link_power_matrix, random_ordering,
                    shortest_path_distances)
@@ -73,8 +73,17 @@ def test_brute_force_cap():
     inst = topo(9, seed=0)
     with pytest.raises(CapExceededError):
         brute_force_ordering(inst, T=2)
-    with pytest.raises(CapExceededError):
-        brute_force_ordering(topo(5, seed=0), T=2, cap=4)
+
+
+def test_brute_force_fills_a_shared_cache():
+    inst = topo(6, seed=2)
+    cache = SlotCache(inst)
+    _, best = brute_force_ordering(inst, T=3, cache=cache)
+    solved = cache.solve_count
+    # every ordering's slots are already cached, the heuristic's included
+    cost = dmect_go(inst, dijkstra_ordering(inst), 3, cache=cache).cost
+    assert cache.solve_count == solved
+    assert best <= cost
 
 
 def test_random_ordering_is_a_source_first_permutation():

@@ -1,4 +1,4 @@
-"""Delay-constrained DP, the unconstrained variant, and unicast routing."""
+"""Delay-constrained DP and unicast routing."""
 
 from __future__ import annotations
 
@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from dmect import (Accumulation, InfeasibleError, Instance, Ordering, SlotCache,
-                   dmect_go, dmect_unconstrained, link_power_matrix,
+                   dmect_go, link_power_matrix, noncoop_solve,
                    shortest_path_distances, unicast_ea, verify_schedule)
+from dmect.baseline import greedy_solver
 from conftest import line3_gains, topo
 
 ORDER3 = Ordering(order=(0, 1, 2))
@@ -69,7 +70,7 @@ def test_costs_monotone_in_deadline_and_prefix(mode):
 def test_emitted_schedules_verify(mode):
     for seed in range(6):
         inst = topo(6, seed=seed, accumulation=mode)
-        for T in (1, 2, 4):
+        for T in (1, 2, 4, 5):   # T = n - 1 is the no-deadline problem
             result = dmect_go(inst, Ordering(order=tuple(range(6))), T)
             assert len(result.schedule.slots) <= T
             verdict = verify_schedule(inst, result.schedule)
@@ -87,12 +88,16 @@ def test_slot_solves_stay_within_the_quadratic_budget():
     assert cache.solve_count <= n * n * T
 
 
-def test_shared_cache_is_reused_across_deadlines():
+@pytest.mark.parametrize("solve, make_cache", [
+    (dmect_go, SlotCache),
+    (noncoop_solve, lambda inst: SlotCache(inst, solver=greedy_solver)),
+], ids=["coop", "noncoop"])
+def test_shared_cache_is_reused_across_deadlines(solve, make_cache):
     inst = topo(6, seed=3)
-    cache = SlotCache(inst)
-    dmect_go(inst, Ordering(order=tuple(range(6))), 2, cache=cache)
+    cache = make_cache(inst)
+    solve(inst, Ordering(order=tuple(range(6))), 2, cache=cache)
     first = cache.solve_count
-    dmect_go(inst, Ordering(order=tuple(range(6))), 5, cache=cache)
+    solve(inst, Ordering(order=tuple(range(6))), 5, cache=cache)
     assert cache.solve_count == first  # same slot set, all hits
 
 
@@ -125,27 +130,6 @@ def test_multicast_stops_at_the_last_destination(line3):
     assert result.target == 2
     assert result.cost == pytest.approx(1.0, rel=1e-10)
     assert verify_schedule(inst, result.schedule)
-
-
-# ---------------------------------------------------------------------------
-# Unconstrained variant
-
-@pytest.mark.parametrize("mode", [Accumulation.EA, Accumulation.MIA])
-def test_unconstrained_equals_full_deadline(mode):
-    for seed in range(5):
-        inst = topo(6, seed=seed, accumulation=mode)
-        order = Ordering(order=tuple(range(6)))
-        cache = SlotCache(inst)
-        free = dmect_unconstrained(inst, order, cache=cache)
-        capped = dmect_go(inst, order, T=inst.n - 1, cache=cache)
-        assert free.cost == pytest.approx(capped.cost, rel=1e-10)
-        assert verify_schedule(inst, free.schedule)
-
-
-def test_unconstrained_line3(line3):
-    result = dmect_unconstrained(line3, ORDER3)
-    assert result.cost == pytest.approx(2.0, rel=1e-10)
-    assert len(result.schedule.slots) == 2
 
 
 # ---------------------------------------------------------------------------
