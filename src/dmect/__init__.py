@@ -13,8 +13,7 @@ from .oracle import (ea_vertex_optimum, exact_integral_slot, exhaustive_global,
                      exhaustive_partition)
 from .ordering import (brute_force_ordering, dijkstra_ordering, gain_ordering,
                        random_ordering, shortest_path_distances)
-from .power import (SlotProblem, ea_lp, mia_barrier, solve_slot,
-                    waterfill_single_receiver)
+from .power import SlotProblem, solve_slot, waterfill_single_receiver
 from .schedule import (CostMatrix, SlotCache, SolveResult, UnicastResult,
                        UnicastTable, dmect_go, link_power_matrix, unicast_ea)
 
@@ -27,11 +26,11 @@ __all__ = [
     "SlotProblem", "SolveResult", "SolverConvergenceError", "TopologyConfig",
     "UnicastResult", "UnicastTable", "Verdict",
     "accumulated_info", "broadcast_destinations", "brute_force_ordering",
-    "dijkstra_ordering", "dmect_go", "ea_lp",
+    "dijkstra_ordering", "dmect_go",
     "ea_vertex_optimum", "exact_integral_slot", "exhaustive_global",
     "exhaustive_partition", "gain_ordering", "generate", "greedy_slot",
     "instance_from_dict", "instance_to_dict", "link_power_matrix",
-    "load_instance", "mia_barrier", "noncoop_solve", "random_ordering",
+    "load_instance", "noncoop_solve", "random_ordering",
     "save_instance", "schedule_from_dict", "schedule_to_dict",
     "shortest_path_distances", "solve_slot", "unicast_ea",
     "verify_schedule", "waterfill_single_receiver",

@@ -21,6 +21,15 @@ import numpy as np
 _THETA_MAX = math.log(sys.float_info.max)
 
 
+def check_theta(theta: float) -> float:
+    """Validated decoding threshold: positive, with e^theta - 1 finite."""
+    theta = float(theta)
+    if not 0.0 < theta <= _THETA_MAX:
+        raise ValueError(f"theta must be positive with finite e^theta - 1, "
+                         f"got {theta}")
+    return theta
+
+
 class Accumulation(str, Enum):
     """How a receiver combines the signals arriving within one slot."""
 
@@ -77,11 +86,7 @@ class Instance:
             raise ValueError("destination index out of range")
         object.__setattr__(self, "destinations", dests)
 
-        theta = float(self.theta)
-        if not 0.0 < theta <= _THETA_MAX:
-            raise ValueError(f"theta must be positive with finite e^theta - 1, "
-                             f"got {theta}")
-        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "theta", check_theta(self.theta))
         object.__setattr__(self, "accumulation", Accumulation(self.accumulation))
 
         if self.positions is not None:

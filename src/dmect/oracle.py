@@ -136,7 +136,8 @@ def exact_integral_slot(senders, receivers, instance: Instance) -> float:
 
 
 def ea_vertex_optimum(gains, theta: float) -> tuple[np.ndarray, float]:
-    """Covering-LP optimum by vertex enumeration; reference for ea_lp.
+    """Covering-LP optimum by vertex enumeration; reference for the ea branch of
+    solve_slot.
 
     Visits every basic solution of {p >= 0, gains' p >= alpha} (all ways of
     making |S| constraints active), keeps the feasible ones, and returns the

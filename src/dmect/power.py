@@ -7,8 +7,11 @@ Under energy accumulation the constraint log(1 + sum_s p_s h_sr) >= theta
 linearizes to sum_s p_s h_sr >= e^theta - 1, a covering LP solved exactly
 by a dense simplex. Under mutual-information accumulation the constraint
 sum_s log(1 + p_s h_sr) >= theta is concave and the problem is solved by
-a log-barrier interior-point method; the single-receiver case also has a
-closed-form water-filling solution used as an independent reference.
+a log-barrier interior-point method that centres each path point to one
+loose tolerance and leaves the last digits to an active-set polish; the
+single-receiver case also has a closed-form water-filling solution used as
+an independent reference. ``solve_slot`` is the one entry point for both
+modes.
 """
 
 from __future__ import annotations
@@ -19,15 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, SolverConvergenceError
-from .model import Accumulation, EMPTY_ALLOCATION, Instance, PowerAllocation
+from .model import (Accumulation, EMPTY_ALLOCATION, Instance, PowerAllocation,
+                    check_theta)
 
 _LP_EPS = 1e-9           # simplex pivot tolerance
 _LEX_EPS = 1e-12         # index-proportional cost perturbation: degenerate optima
                          # resolve toward the lexicographically smallest sender
 _BARRIER_GAP = 1e-10     # duality-gap proxy target, relative to the objective scale
 _BARRIER_MU = 10.0       # barrier parameter growth per outer iteration
-_NEWTON_TOL = 1e-11      # final centering: stop when lambda^2 / 2 falls below this
-_NEWTON_TOL_PATH = 5e-3  # intermediate centerings only need lambda ~ 0.1
+_NEWTON_TOL = 5e-3       # centering stops at lambda^2 / 2 below this (lambda ~ 0.1)
 _MAX_OUTER = 60
 _MAX_NEWTON = 200
 
@@ -57,7 +60,7 @@ class SlotProblem:
         object.__setattr__(self, "senders", senders)
         object.__setattr__(self, "receivers", receivers)
         object.__setattr__(self, "gains", gains)
-        object.__setattr__(self, "theta", float(self.theta))
+        object.__setattr__(self, "theta", check_theta(self.theta))
         object.__setattr__(self, "accumulation", Accumulation(self.accumulation))
 
     @classmethod
@@ -83,12 +86,24 @@ def _check_reachable(problem: SlotProblem) -> None:
 
 
 def solve_slot(problem: SlotProblem) -> PowerAllocation:
-    """Optimal slot allocation; empty receiver set costs exactly zero."""
+    """Optimal slot allocation; empty receiver set costs exactly zero.
+
+    After the reachability check, the mode's kernel runs on gains rescaled
+    so the largest is one and its powers scale back by the same factor, so
+    the kernels' absolute tolerances hold across the whole float range.
+    """
     if not problem.receivers:
         return EMPTY_ALLOCATION
+    _check_reachable(problem)
+    gamma = float(problem.gains.max())
+    gains = problem.gains / gamma
     if problem.accumulation is Accumulation.EA:
-        return ea_lp(problem)
-    return mia_barrier(problem)
+        q = _covering_lp(gains, math.expm1(problem.theta))
+    else:
+        q = _mia_barrier(gains, problem.theta)
+    p = q / gamma
+    powers = {s: float(v) for s, v in zip(problem.senders, p) if v > 0.0}
+    return PowerAllocation.from_powers(powers)
 
 
 # ---------------------------------------------------------------------------
@@ -157,15 +172,6 @@ def _covering_lp(gains: np.ndarray, alpha: float) -> np.ndarray:
     return np.maximum(tab[ns, nr:nr + ns], 0.0)
 
 
-def ea_lp(problem: SlotProblem) -> PowerAllocation:
-    """Energy-accumulation slot optimum via the linearized covering LP."""
-    _check_reachable(problem)
-    alpha = math.expm1(problem.theta)
-    p = _covering_lp(problem.gains, alpha)
-    powers = {s: float(v) for s, v in zip(problem.senders, p) if v > 0.0}
-    return PowerAllocation.from_powers(powers)
-
-
 # ---------------------------------------------------------------------------
 # Mutual-information accumulation: log-barrier interior point.
 
@@ -192,11 +198,8 @@ def _mia_value(gains, theta, t, q):
     return t * q.sum() - np.log(u).sum() - np.log(q).sum()
 
 
-def _mia_center(gains: np.ndarray, theta: float, q: np.ndarray, t: float,
-                tol: float = _NEWTON_TOL) -> np.ndarray:
+def _mia_center(gains: np.ndarray, theta: float, q: np.ndarray, t: float) -> np.ndarray:
     """Newton minimization of t * 1'q + barrier(q) from a strictly feasible q."""
-    best_lam2 = math.inf
-    stall = 0
     for _ in range(_MAX_NEWTON):
         x = q[:, None] * gains
         u = np.log1p(x).sum(axis=0) - theta
@@ -212,16 +215,8 @@ def _mia_center(gains: np.ndarray, theta: float, q: np.ndarray, t: float,
             hess[np.diag_indices_from(hess)] += 1e-12 * (1.0 + diag)
             dx = np.linalg.solve(hess, -grad)
         lam2 = max(float(-grad @ dx), 0.0)
-        if lam2 / 2.0 <= tol:
+        if lam2 / 2.0 <= _NEWTON_TOL:
             return q
-        # inside the quadratic zone the decrement at least halves per step;
-        # when it stops shrinking there, arithmetic noise dominates and the
-        # point is as centered as float64 permits
-        if lam2 <= 0.25:
-            stall = stall + 1 if lam2 > 0.5 * best_lam2 else 0
-            if stall >= 5:
-                return q
-        best_lam2 = min(best_lam2, lam2)
         f0 = t * q.sum() - np.log(u).sum() - np.log(q).sum()
         slope = float(grad @ dx)
         step = 1.0
@@ -233,12 +228,7 @@ def _mia_center(gains: np.ndarray, theta: float, q: np.ndarray, t: float,
         else:
             raise SolverConvergenceError("barrier line search failed",
                                          t=t, shape=gains.shape)
-        qn = q + step * dx
-        if np.array_equal(qn, q):
-            # updates fell below float resolution; centered as far as the
-            # arithmetic allows (lambda^2 is already tiny here)
-            return q
-        q = qn
+        q = q + step * dx
     raise SolverConvergenceError("barrier centering did not converge",
                                  t=t, shape=gains.shape, newton_cap=_MAX_NEWTON)
 
@@ -338,40 +328,30 @@ def _mia_polish(gains: np.ndarray, theta: float, q: np.ndarray, t: float) -> np.
     return refined
 
 
-def mia_barrier(problem: SlotProblem) -> PowerAllocation:
-    """Mutual-information slot optimum via a log-barrier interior-point solve.
+def _mia_barrier(gains: np.ndarray, theta: float) -> np.ndarray:
+    """Mutual-information optimum over gains whose largest entry is one.
 
-    The gains are rescaled so the largest is one (powers scale back exactly
-    by the same factor); the barrier parameter grows by a factor of ten per
-    outer iteration until the duality-gap proxy m/t drops below 1e-10
-    relative to the objective, and an active-set polish then removes the
-    residual gap.
+    The barrier parameter grows by a factor of ten per outer iteration,
+    each step centred only to lambda ~ 0.1, until the duality-gap proxy m/t
+    drops below 1e-10 relative to the objective; the active-set polish then
+    supplies the last digits, removing the residual gap.
     """
-    _check_reachable(problem)
-    gamma = float(problem.gains.max())
-    gains = problem.gains / gamma
-    q = _mia_phase1(gains, problem.theta)
+    q = _mia_phase1(gains, theta)
     m = gains.shape[0] + gains.shape[1]
     t = m / max(float(q.sum()), 1e-12)
     t = min(max(t, 1e-9), 1e9)
     for _ in range(_MAX_OUTER):
-        # intermediate points only guide the path; center them loosely and
-        # polish once the gap proxy m/t is small enough to stop
-        q = _mia_center(gains, problem.theta, q, t, tol=_NEWTON_TOL_PATH)
+        q = _mia_center(gains, theta, q, t)
         if m / t < _BARRIER_GAP * max(1.0, float(q.sum())):
-            q = _mia_center(gains, problem.theta, q, t)
             break
         t *= _BARRIER_MU
     else:
         raise SolverConvergenceError("barrier outer loop hit iteration cap",
                                      gap=m / t, outer_cap=_MAX_OUTER,
-                                     shape=problem.gains.shape)
-    q = _mia_polish(gains, problem.theta, q, t)
+                                     shape=gains.shape)
+    q = _mia_polish(gains, theta, q, t)
     # senders whose best-case contribution is below 1e-12 nats are idle
-    q = np.where(q * gains.max(axis=1) < 1e-12, 0.0, q)
-    p = q / gamma
-    powers = {s: float(v) for s, v in zip(problem.senders, p) if v > 0.0}
-    return PowerAllocation.from_powers(powers)
+    return np.where(q * gains.max(axis=1) < 1e-12, 0.0, q)
 
 
 # ---------------------------------------------------------------------------
@@ -386,13 +366,11 @@ def waterfill_single_receiver(gains, theta: float) -> PowerAllocation:
     set whose worst channel still clears the water.
     """
     g = np.asarray(gains, dtype=float)
-    theta = float(theta)
+    theta = check_theta(theta)
     if g.ndim != 1:
         raise ValueError("gains must be a flat sequence")
     if np.any(g < 0.0) or not np.all(np.isfinite(g)):
         raise ValueError("gains must be nonnegative and finite")
-    if theta <= 0.0:
-        raise ValueError("theta must be positive")
     alive = np.flatnonzero(g > 0.0)
     if alive.size == 0:
         raise InfeasibleError("every channel gain is zero", receiver=None)

@@ -153,13 +153,13 @@ def dmect_go(instance: Instance, ordering: Ordering, T: int,
     argmin = np.full((n + 1, T + 1), -1, dtype=int)
     costs[1, :] = 0.0
     for t in range(1, T + 1):
-        prev = costs[:, t - 1]
-        for j in range(2, target + 1):
-            vals = prev[1:j + 1] + m[1:j + 1, j]
-            k = int(np.argmin(vals)) + 1   # ties resolve to the smallest k
-            costs[j, t] = vals[k - 1]
-            if np.isfinite(costs[j, t]):
-                argmin[j, t] = k
+        # vals[k - 1, j - 2] = C[k][t-1] + m[k][j]; m is inf for k > j and
+        # argmin keeps the first minimum, so ties resolve to the smallest k
+        vals = costs[1:target + 1, t - 1, None] + m[1:, 2:]
+        k = np.argmin(vals, axis=0)
+        best = vals.min(axis=0)
+        costs[2:target + 1, t] = best
+        argmin[2:target + 1, t] = np.where(np.isfinite(best), k + 1, -1)
     table = CostMatrix(costs=costs, argmin=argmin)
 
     total = float(costs[target, T])

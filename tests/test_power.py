@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dmect import (Accumulation, InfeasibleError, Instance, SlotProblem,
-                   ea_lp, ea_vertex_optimum, mia_barrier, solve_slot,
-                   waterfill_single_receiver)
+                   ea_vertex_optimum, solve_slot, waterfill_single_receiver)
 
 LN2 = math.log(2.0)
 
@@ -133,6 +132,32 @@ def test_mia_multi_receiver_feasible_and_never_above_ea():
         assert mia.cost <= ea.cost + 1e-8
 
 
+def test_mia_multi_receiver_meets_the_kkt_conditions():
+    # optimality certificate independent of the solver: multipliers of the
+    # binding receivers, fitted by least squares on the support, must be
+    # nonnegative and make the reduced cost 1 - sum_r nu_r g_sr / (1 + p_s g_sr)
+    # vanish on the support and stay nonnegative off it
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        ns, nr = int(rng.integers(1, 7)), int(rng.integers(2, 7))
+        g = rng.uniform(0.05, 4.0, size=(ns, nr))
+        theta = float(rng.uniform(0.2, 3.0))
+        problem = slot(g, theta, Accumulation.MIA)
+        alloc = solve_slot(problem)
+        p = np.array([alloc.powers.get(s, 0.0) for s in problem.senders])
+        slack = info(problem, alloc) - theta
+        assert slack.min() >= -1e-9
+        binding = slack <= 1e-9 * max(1.0, theta)
+        support = p > 0.0
+        d = g / (1.0 + p[:, None] * g)
+        nu = np.linalg.lstsq(d[np.ix_(support, binding)],
+                             np.ones(int(support.sum())), rcond=None)[0]
+        assert nu.min() >= -1e-9
+        reduced = 1.0 - d[:, binding] @ nu
+        assert np.abs(reduced[support]).max() <= 1e-9
+        assert np.all(reduced[~support] >= -1e-9)
+
+
 # ---------------------------------------------------------------------------
 # Water-filling closed form
 
@@ -165,8 +190,9 @@ def test_waterfill_input_validation():
         waterfill_single_receiver([[1.0]], 1.0)
     with pytest.raises(ValueError, match="nonnegative"):
         waterfill_single_receiver([-1.0], 1.0)
-    with pytest.raises(ValueError, match="positive"):
-        waterfill_single_receiver([1.0], 0.0)
+    for theta in (0.0, 800.0):   # 800 overflows e^theta - 1
+        with pytest.raises(ValueError, match="positive"):
+            waterfill_single_receiver([1.0], theta)
     with pytest.raises(InfeasibleError):
         waterfill_single_receiver([0.0, 0.0], 1.0)
 
@@ -177,7 +203,7 @@ def test_waterfill_input_validation():
 @pytest.mark.parametrize("accumulation", [Accumulation.EA, Accumulation.MIA])
 def test_cost_scales_inversely_with_gains(accumulation):
     rng = np.random.default_rng(13)
-    for c in (0.1, 10.0):
+    for c in (0.1, 10.0, 1e-300, 1e300):
         for _ in range(10):
             ns, nr = int(rng.integers(1, 5)), int(rng.integers(1, 5))
             g = rng.uniform(0.1, 3.0, size=(ns, nr))
@@ -227,6 +253,14 @@ def test_slot_problem_rejects_sender_receiver_overlap():
                     theta=1.0, accumulation=Accumulation.EA)
 
 
+@pytest.mark.parametrize("theta", [0.0, 800.0])
+def test_slot_problem_rejects_bad_theta(theta):
+    # 800 overflows e^theta - 1
+    with pytest.raises(ValueError, match="positive"):
+        SlotProblem(senders=(0,), receivers=(1,), gains=np.ones((1, 1)),
+                    theta=theta, accumulation=Accumulation.EA)
+
+
 def test_slot_problem_from_instance_slices_the_gain_matrix(line3):
     problem = SlotProblem.from_instance(line3, {1, 0}, {2})
     assert problem.senders == (0, 1)
@@ -235,10 +269,10 @@ def test_slot_problem_from_instance_slices_the_gain_matrix(line3):
     assert problem.theta == line3.theta
 
 
-def test_direct_entry_points_agree_with_dispatch(line3):
+def test_solve_slot_dispatches_on_accumulation(line3):
     ea_problem = SlotProblem.from_instance(line3, {0}, {1, 2})
-    assert ea_lp(ea_problem).cost == pytest.approx(10.0, abs=1e-8)
+    assert solve_slot(ea_problem).cost == pytest.approx(10.0, abs=1e-8)
     mia_problem = SlotProblem(senders=(0,), receivers=(1, 2),
                               gains=np.array([[1.0, 0.1]]), theta=LN2,
                               accumulation=Accumulation.MIA)
-    assert mia_barrier(mia_problem).cost == pytest.approx(10.0, rel=1e-8)
+    assert solve_slot(mia_problem).cost == pytest.approx(10.0, rel=1e-8)
