@@ -207,8 +207,8 @@ def verify_schedule(instance: Instance, schedule: Schedule, tolerance: float = 1
     Checks, per slot: powers are nonnegative and assigned to senders only,
     senders and receivers are disjoint, every sender has already decoded
     (or is the source), no receiver decodes twice, and every receiver
-    accumulates at least theta - tolerance. Finally every destination must
-    have decoded by the last slot. Never raises on bad schedules.
+    accumulates at least theta * (1 - tolerance). Finally every destination
+    must have decoded by the last slot. Never raises on bad schedules.
     """
     decoded = {instance.source}
     for t, slot in enumerate(schedule.slots, start=1):
@@ -234,7 +234,7 @@ def verify_schedule(instance: Instance, schedule: Schedule, tolerance: float = 1
                            f"slot {t}: node {node} already decoded")
         for r in sorted(slot.receivers):
             info = accumulated_info(slot.senders, slot.powers, r, instance)
-            if info < instance.theta - tolerance:
+            if info < instance.theta * (1.0 - tolerance):
                 return Verdict(False, "decoding", t, r,
                                f"slot {t}: node {r} accumulates {info:.9g} < theta "
                                f"{instance.theta:.9g}")

@@ -139,15 +139,16 @@ def ea_vertex_optimum(gains, theta: float) -> tuple[np.ndarray, float]:
     """Covering-LP optimum by vertex enumeration; reference for the ea branch of
     solve_slot.
 
-    Visits every basic solution of {p >= 0, gains' p >= alpha} (all ways of
+    Visits every basic solution of {p >= 0, gains' p >= 1} (all ways of
     making |S| constraints active), keeps the feasible ones, and returns the
-    cheapest. Exponential; meant for slots of a few senders and receivers.
+    cheapest times alpha = e^theta - 1. Exponential; meant for slots of a
+    few senders and receivers.
     """
     g = np.asarray(gains, dtype=float)
     ns, nr = g.shape
     alpha = math.expm1(float(theta))
     rows = np.vstack([g.T, np.eye(ns)])          # cover rows then p_s = 0 rows
-    rhs = np.concatenate([np.full(nr, alpha), np.zeros(ns)])
+    rhs = np.concatenate([np.ones(nr), np.zeros(ns)])
     best_cost = math.inf
     best_p = None
     for active in itertools.combinations(range(nr + ns), ns):
@@ -159,7 +160,7 @@ def ea_vertex_optimum(gains, theta: float) -> tuple[np.ndarray, float]:
             continue
         if not np.all(np.isfinite(p)) or np.max(np.abs(a @ p - b)) > 1e-7:
             continue
-        if np.any(p < -1e-9) or np.any(g.T @ p < alpha - 1e-9):
+        if np.any(p < -1e-9) or np.any(g.T @ p < 1.0 - 1e-9):
             continue
         cost = float(np.clip(p, 0.0, None).sum())
         if cost < best_cost:
@@ -167,4 +168,4 @@ def ea_vertex_optimum(gains, theta: float) -> tuple[np.ndarray, float]:
             best_p = np.clip(p, 0.0, None)
     if best_p is None:
         raise InfeasibleError("covering polyhedron has no vertex", receiver=None)
-    return best_p, best_cost
+    return alpha * best_p, alpha * best_cost

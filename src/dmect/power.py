@@ -4,14 +4,16 @@ Given senders S, receivers R and threshold theta, find nonnegative powers
 minimizing total power such that every receiver decodes within the slot.
 
 Under energy accumulation the constraint log(1 + sum_s p_s h_sr) >= theta
-linearizes to sum_s p_s h_sr >= e^theta - 1, a covering LP solved exactly
-by a dense simplex. Under mutual-information accumulation the constraint
-sum_s log(1 + p_s h_sr) >= theta is concave and the problem is solved by
-a log-barrier interior-point method that centres each path point to one
-loose tolerance and leaves the last digits to an active-set polish; the
-single-receiver case also has a closed-form water-filling solution used as
-an independent reference. ``solve_slot`` is the one entry point for both
-modes.
+linearizes to sum_s p_s h_sr >= e^theta - 1: a covering LP, solved exactly
+on the unit right-hand side by a dense simplex. Under mutual-information
+accumulation the constraint sum_s log(1 + p_s h_sr) >= theta is concave; a
+log-barrier method centres each path point loosely and an active-set polish,
+which reads the active set off Tapia indicators, supplies the last digits.
+The single-receiver case has a closed-form water-filling reference.
+
+One scale rule: ``solve_slot``, the one entry point, rescales the gains so
+the largest is one; every constant inside the kernels is relative to the
+slot's own cost, to theta, or to each receiver's best gain.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import InfeasibleError, SolverConvergenceError
 from .model import (Accumulation, EMPTY_ALLOCATION, Instance, PowerAllocation,
                     check_theta)
 
-_LP_EPS = 1e-9           # simplex pivot tolerance
+_LP_EPS = 1e-9           # simplex pivot tolerance, relative to each receiver
 _LEX_EPS = 1e-12         # index-proportional cost perturbation: degenerate optima
                          # resolve toward the lexicographically smallest sender
 _BARRIER_GAP = 1e-10     # duality-gap proxy target, relative to the objective scale
@@ -89,8 +91,9 @@ def solve_slot(problem: SlotProblem) -> PowerAllocation:
     """Optimal slot allocation; empty receiver set costs exactly zero.
 
     After the reachability check, the mode's kernel runs on gains rescaled
-    so the largest is one and its powers scale back by the same factor, so
-    the kernels' absolute tolerances hold across the whole float range.
+    so the largest is one and its powers scale back by the same factor; ea
+    solves the unit covering LP and scales by e^theta - 1. This is the only
+    place that knows a slot's scale.
     """
     if not problem.receivers:
         return EMPTY_ALLOCATION
@@ -98,7 +101,7 @@ def solve_slot(problem: SlotProblem) -> PowerAllocation:
     gamma = float(problem.gains.max())
     gains = problem.gains / gamma
     if problem.accumulation is Accumulation.EA:
-        q = _covering_lp(gains, math.expm1(problem.theta))
+        q = math.expm1(problem.theta) * _covering_lp(gains)
     else:
         q = _mia_barrier(gains, problem.theta)
     p = q / gamma
@@ -109,22 +112,24 @@ def solve_slot(problem: SlotProblem) -> PowerAllocation:
 # ---------------------------------------------------------------------------
 # Energy accumulation: covering LP.
 
-def _covering_lp(gains: np.ndarray, alpha: float) -> np.ndarray:
-    """Exact optimum of  min 1'p  s.t.  gains' p >= alpha, p >= 0.
+def _covering_lp(gains: np.ndarray) -> np.ndarray:
+    """Exact optimum of the unit covering LP  min 1'p  s.t.  gains' p >= 1, p >= 0.
 
-    Solved through the dual packing LP  max alpha 1'y  s.t.  gains y <= c,
-    y >= 0, whose slack basis is immediately feasible. The primal optimum
-    is read off the slack columns of the final objective row. Pivoting is
-    Dantzig's rule, switching to Bland's rule permanently once the
-    objective stalls, which rules out cycling.
+    Solved through the dual packing LP  max 1'y  s.t.  gains y <= c, y >= 0,
+    whose slack basis is immediately feasible, with each receiver's column
+    divided by its largest gain so the pivot tolerance is relative to it.
+    The primal optimum is read off the slack columns of the final objective
+    row. Pivoting is Dantzig's rule, switching to Bland's rule permanently
+    once the objective stalls, which rules out cycling.
     """
     ns, nr = gains.shape
     c = 1.0 + _LEX_EPS * np.arange(ns)
+    top = gains.max(axis=0)
     tab = np.zeros((ns + 1, nr + ns + 1))
-    tab[:ns, :nr] = gains
+    tab[:ns, :nr] = gains / top
     tab[:ns, nr:nr + ns] = np.eye(ns)
     tab[:ns, -1] = c
-    tab[ns, :nr] = -alpha
+    tab[ns, :nr] = -1.0 / top
     basis = np.arange(nr, nr + ns)
 
     max_pivots = 50 * (ns + nr) + 1000
@@ -147,7 +152,7 @@ def _covering_lp(gains: np.ndarray, alpha: float) -> np.ndarray:
         rows = np.flatnonzero(col > _LP_EPS)
         if rows.size == 0:
             raise SolverConvergenceError("covering LP: dual unbounded",
-                                         shape=gains.shape, alpha=alpha)
+                                         shape=gains.shape)
         ratios = tab[rows, -1] / col[rows]
         rmin = ratios.min()
         ties = rows[ratios == rmin]
@@ -185,7 +190,7 @@ def _mia_phase1(gains: np.ndarray, theta: float) -> np.ndarray:
     for r in range(nr):
         q[best[r]] += alpha / gains[best[r], r]
     q *= 1.05
-    q += 1e-6 * (1.0 + q.sum() / ns)
+    q += 1e-6 * q.sum() / ns
     return q
 
 
@@ -248,14 +253,13 @@ def _polish_newton(gains: np.ndarray, theta: float,
     ga = gains[np.ix_(support, active)]
     ns, na = ga.shape
     p, nu = p0.copy(), nu0.copy()
-    scale = max(1.0, theta)
     best_res, best_p = math.inf, None
     for _ in range(30):
         x = p[:, None] * ga
         d = ga / (1.0 + x)
         f1 = 1.0 - d @ nu
         f2 = np.log1p(x).sum(axis=0) - theta
-        res = max(float(np.abs(f1).max()), float(np.abs(f2).max()) / scale)
+        res = max(float(np.abs(f1).max()), float(np.abs(f2).max()) / theta)
         if res < best_res:
             best_res, best_p = res, p.copy()
         if res <= 1e-14:
@@ -284,46 +288,39 @@ def _polish_newton(gains: np.ndarray, theta: float,
     return best_p
 
 
-def _mia_polish(gains: np.ndarray, theta: float, q: np.ndarray, t: float) -> np.ndarray:
+def _mia_polish(gains: np.ndarray, theta: float, q: np.ndarray,
+                q_prev: np.ndarray, t: float) -> np.ndarray:
     """Active-set crossover: sharpen the final interior point to the exact
     optimum.
 
-    The barrier leaves a duality gap of ~1e-10 relative to the cost, which
-    is visible in absolute terms on expensive slots. The centering identity
-    (reduced cost of sender s equals 1 / (t q_s), multiplier of receiver r
-    equals 1 / (t u_r)) separates genuine support and binding constraints
-    from interior-point artifacts by a factor ~t, so sqrt(1/t) splits them
-    cleanly. Newton on the reduced KKT system then converges quadratically
-    to machine precision. Any failure - wrong active set, singular system,
-    lost feasibility, higher cost - falls back to the unpolished point, so
-    the polish is a strict refinement.
+    The barrier leaves a duality gap of ~1e-10 relative to the cost.
+    ``q`` and ``q_prev`` are the last two centres, a tenfold rise of t
+    apart; Tapia indicators read the active set off how they move. An idle
+    power and a binding slack shrink tenfold with t (they equal 1 / (t
+    reduced cost) and 1 / (t multiplier)), while a support power and a free
+    slack stay put, so a factor sqrt(10) splits them at any scale. Newton on
+    the reduced KKT system then converges quadratically to machine
+    precision. Any failure - wrong active set, singular system, lost
+    feasibility, higher cost - falls back to the unpolished point.
     """
-    sep = math.sqrt(1.0 / t)
-    scale = max(1.0, theta)
+    split = math.sqrt(_BARRIER_MU)
     slack = np.log1p(q[:, None] * gains).sum(axis=0) - theta
-    active = np.flatnonzero(slack <= sep * scale)
-    support = np.flatnonzero(q >= sep)
-    if active.size == 0:
+    slack_prev = np.log1p(q_prev[:, None] * gains).sum(axis=0) - theta
+    active = np.flatnonzero(slack <= slack_prev / split)
+    support = np.flatnonzero(q >= q_prev / split)
+    if active.size == 0 or support.size < active.size:
         return q
-    for _ in range(3):
-        if support.size < active.size:
-            return q
-        nu0 = 1.0 / (t * np.maximum(slack[active], 1.0 / t ** 2))
-        p = _polish_newton(gains, theta, support, active, q[support], nu0)
-        if p is not None:
-            break
-        # a stalled solve points at a misclassified sender hovering near
-        # zero; drop the smallest support entry and retry
-        support = np.delete(support, int(np.argmin(q[support])))
-    else:
+    nu0 = 1.0 / (t * np.maximum(slack[active], theta / t ** 2))
+    p = _polish_newton(gains, theta, support, active, q[support], nu0)
+    if p is None:
         return q
 
     refined = np.zeros_like(q)
     refined[support] = p
     slack = np.log1p(refined[:, None] * gains).sum(axis=0) - theta
-    if float(slack.min()) < -1e-10 * scale:
+    if float(slack.min()) < -1e-10 * theta:
         return q
-    if float(refined.sum()) > float(q.sum()) + 1e-9 * (1.0 + float(q.sum())):
+    if float(refined.sum()) > float(q.sum()) * (1.0 + 1e-9):
         return q
     return refined
 
@@ -331,27 +328,33 @@ def _mia_polish(gains: np.ndarray, theta: float, q: np.ndarray, t: float) -> np.
 def _mia_barrier(gains: np.ndarray, theta: float) -> np.ndarray:
     """Mutual-information optimum over gains whose largest entry is one.
 
-    The barrier parameter grows by a factor of ten per outer iteration,
-    each step centred only to lambda ~ 0.1, until the duality-gap proxy m/t
-    drops below 1e-10 relative to the objective; the active-set polish then
-    supplies the last digits, removing the residual gap.
+    The barrier parameter t starts at m / C for the phase-1 cost C and grows
+    tenfold per outer iteration, each step centred only to lambda ~ 0.1,
+    until the duality-gap proxy m/t is below 1e-10 of the cost; the polish
+    then supplies the last digits. A float overflow or invalid operation
+    means theta has left the float range: it is a convergence failure,
+    never an answer.
     """
-    q = _mia_phase1(gains, theta)
-    m = gains.shape[0] + gains.shape[1]
-    t = m / max(float(q.sum()), 1e-12)
-    t = min(max(t, 1e-9), 1e9)
-    for _ in range(_MAX_OUTER):
-        q = _mia_center(gains, theta, q, t)
-        if m / t < _BARRIER_GAP * max(1.0, float(q.sum())):
-            break
-        t *= _BARRIER_MU
-    else:
-        raise SolverConvergenceError("barrier outer loop hit iteration cap",
-                                     gap=m / t, outer_cap=_MAX_OUTER,
-                                     shape=gains.shape)
-    q = _mia_polish(gains, theta, q, t)
-    # senders whose best-case contribution is below 1e-12 nats are idle
-    return np.where(q * gains.max(axis=1) < 1e-12, 0.0, q)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            q = _mia_phase1(gains, theta)
+            m = gains.shape[0] + gains.shape[1]
+            t = m / float(q.sum())
+            for _ in range(_MAX_OUTER):
+                q_prev, q = q, _mia_center(gains, theta, q, t)
+                if m / t < _BARRIER_GAP * float(q.sum()):
+                    break
+                t *= _BARRIER_MU
+            else:
+                raise SolverConvergenceError("barrier outer loop hit iteration cap",
+                                             gap=m / t, outer_cap=_MAX_OUTER,
+                                             shape=gains.shape)
+            q = _mia_polish(gains, theta, q, q_prev, t)
+    except FloatingPointError as exc:
+        raise SolverConvergenceError(f"barrier left the float range: {exc}",
+                                     theta=theta, shape=gains.shape) from exc
+    # senders whose best-case contribution is below 1e-12 of theta are idle
+    return np.where(q * gains.max(axis=1) < 1e-12 * theta, 0.0, q)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +366,9 @@ def waterfill_single_receiver(gains, theta: float) -> PowerAllocation:
     Powers are keyed by position in ``gains``. The KKT conditions give
     p_s = lambda - 1/h_s on the active set; the water level lambda is
     solved in closed form per candidate active set, taking the largest
-    set whose worst channel still clears the water.
+    set whose worst channel still clears the water. Each power is formed
+    as expm1(log(lambda h_s)) / h_s from gain ratios, so it keeps full
+    relative precision however small theta is.
     """
     g = np.asarray(gains, dtype=float)
     theta = check_theta(theta)
@@ -377,15 +382,11 @@ def waterfill_single_receiver(gains, theta: float) -> PowerAllocation:
     order = alive[np.argsort(-g[alive], kind="stable")]
     logs = np.log(g[order])
     cum = np.cumsum(logs)
-    best_m = 1
-    best_loglam = theta - cum[0]
-    for m in range(2, order.size + 1):
-        loglam = (theta - cum[m - 1]) / m
-        if loglam + logs[m - 1] > 0.0:   # lambda * h_m > 1, so p_m > 0
-            best_m = m
-            best_loglam = loglam
-    lam = math.exp(best_loglam)
-    active = order[:best_m]
-    p = np.maximum(lam - 1.0 / g[active], 0.0)
+    m = 1
+    for k in range(2, order.size + 1):
+        if (theta - cum[k - 1]) / k + logs[k - 1] > 0.0:   # lambda * h_k > 1, so p_k > 0
+            m = k
+    active = order[:m]
+    p = np.maximum(np.expm1((theta - (cum[m - 1] - m * logs[:m])) / m) / g[active], 0.0)
     powers = {int(i): float(v) for i, v in zip(active, p) if v > 0.0}
     return PowerAllocation.from_powers(powers)

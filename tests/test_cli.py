@@ -173,6 +173,40 @@ def test_solver_failure_is_exit_5(capsys, inst_file, monkeypatch):
     assert err == "solver error: covering LP: dual unbounded\n"
 
 
+def test_solve_steep_path_loss(capsys, tmp_path):
+    # eta = 8 spreads one slot's gains over many decades
+    path = tmp_path / "steep.json"
+    assert run(capsys, "gen", "--n", "12", "--eta", "8", "--seed", "9",
+               "--out", str(path))[0] == 0
+    code, out, _ = run(capsys, "solve", str(path), "--t", "3")
+    assert code == 0
+    assert verify_schedule(load_instance(path),
+                           schedule_from_dict(json.loads(out)["schedule"]))
+
+
+def test_solve_tiny_theta_pays_a_positive_cost(capsys, tmp_path):
+    path = tmp_path / "cold.json"
+    assert run(capsys, "gen", "--n", "8", "--seed", "3", "--theta", "1e-10",
+               "--out", str(path))[0] == 0
+    code, out, err = run(capsys, "solve", str(path), "--t", "3")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["cost"] > 0.0
+    assert verify_schedule(load_instance(path), schedule_from_dict(payload["schedule"]))
+    assert "feasible" in err
+
+
+def test_solve_mia_beyond_the_float_range_is_exit_5(capsys, tmp_path):
+    d = instance_to_dict(topo(4, seed=1))
+    d["theta"] = 700.0
+    path = tmp_path / "hot.json"
+    path.write_text(json.dumps(d))
+    code, out, err = run(capsys, "solve", str(path), "--accum", "mia")
+    assert code == 5
+    assert out == ""
+    assert err.startswith("solver error: barrier left the float range")
+
+
 def test_solve_usage_errors(capsys, inst_file, tmp_path):
     assert run(capsys, "solve", str(tmp_path / "missing.json"))[0] == 3
     assert run(capsys, "solve", inst_file, "--t", "0")[0] == 3

@@ -159,6 +159,14 @@ def test_verify_tolerance_is_respected(line3):
     assert not verify_schedule(line3, Schedule(slots=slots), tolerance=1e-12)
 
 
+def test_verify_tolerance_is_relative_to_theta(line3):
+    # at a tiny theta an absolute tolerance would accept a silent slot
+    inst = dataclasses.replace(line3, theta=1e-10)
+    slots = (Slot(senders={0}, receivers={1, 2}, powers={0: 0.0}),)
+    verdict = verify_schedule(inst, Schedule(slots=slots))
+    assert verdict.kind == "decoding"
+
+
 def test_verify_empty_schedule_fails_coverage(line3):
     verdict = verify_schedule(line3, Schedule(slots=()))
     assert verdict.kind == "coverage"

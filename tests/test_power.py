@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dmect import (Accumulation, InfeasibleError, Instance, SlotProblem,
-                   ea_vertex_optimum, solve_slot, waterfill_single_receiver)
+                   SolverConvergenceError, ea_vertex_optimum, solve_slot,
+                   waterfill_single_receiver)
 
 LN2 = math.log(2.0)
 
@@ -97,6 +98,29 @@ def test_ea_lp_equals_vertex_oracle(gains, theta):
     assert got == pytest.approx(want, abs=1e-8)
 
 
+@pytest.mark.parametrize("theta", [1e-12, 1e-8, 30.0, 300.0])
+def test_ea_matches_vertex_enumeration_across_theta(theta):
+    rng = np.random.default_rng(37)
+    for _ in range(30):
+        ns, nr = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        g = rng.uniform(0.05, 4.0, size=(ns, nr))
+        got = solve_slot(slot(g, theta, Accumulation.EA)).cost
+        _, want = ea_vertex_optimum(g, theta)
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("theta", [1e-12, 1e-8, 1e-4, 30.0, 300.0, 700.0])
+def test_ea_cost_is_alpha_times_the_unit_cost(theta):
+    # the covering LP is linear in its right-hand side e^theta - 1
+    rng = np.random.default_rng(43)
+    for _ in range(30):
+        ns, nr = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        g = rng.uniform(0.05, 4.0, size=(ns, nr))
+        unit = solve_slot(slot(g, LN2, Accumulation.EA)).cost
+        got = solve_slot(slot(g, theta, Accumulation.EA)).cost
+        assert got == pytest.approx(math.expm1(theta) * unit, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Mutual-information accumulation
 
@@ -117,6 +141,27 @@ def test_mia_matches_waterfilling_on_single_receiver_slots():
         got = solve_slot(slot(g.reshape(k, 1), theta, Accumulation.MIA)).cost
         want = waterfill_single_receiver(g, theta).cost
         assert got == pytest.approx(want, rel=1e-8, abs=1e-9)
+
+
+@pytest.mark.parametrize("theta", [1e-12, 1e-6, 100.0])
+def test_mia_matches_waterfilling_across_theta(theta):
+    rng = np.random.default_rng(79)
+    for _ in range(30):
+        k = int(rng.integers(1, 7))
+        g = rng.uniform(0.05, 5.0, size=k)
+        got = solve_slot(slot(g.reshape(k, 1), theta, Accumulation.MIA)).cost
+        want = waterfill_single_receiver(g, theta).cost
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_mia_beyond_the_float_range_raises():
+    # at theta = 700 the barrier's powers overflow; an answer would be wrong
+    rng = np.random.default_rng(83)
+    for _ in range(5):
+        ns, nr = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        g = rng.uniform(0.05, 4.0, size=(ns, nr))
+        with pytest.raises(SolverConvergenceError):
+            solve_slot(slot(g, 700.0, Accumulation.MIA))
 
 
 def test_mia_multi_receiver_feasible_and_never_above_ea():
@@ -153,6 +198,30 @@ def test_mia_multi_receiver_meets_the_kkt_conditions():
         nu = np.linalg.lstsq(d[np.ix_(support, binding)],
                              np.ones(int(support.sum())), rcond=None)[0]
         assert nu.min() >= -1e-9
+        reduced = 1.0 - d[:, binding] @ nu
+        assert np.abs(reduced[support]).max() <= 1e-9
+        assert np.all(reduced[~support] >= -1e-9)
+
+
+@pytest.mark.parametrize("theta", [1e-12, 1e-8, 1e-4, 30.0, 100.0])
+def test_mia_meets_the_kkt_conditions_across_theta(theta):
+    # the same certificate with every tolerance relative to theta or to the
+    # multipliers' own size
+    rng = np.random.default_rng(47)
+    for _ in range(60):
+        ns, nr = int(rng.integers(1, 7)), int(rng.integers(2, 7))
+        g = rng.uniform(0.05, 4.0, size=(ns, nr))
+        problem = slot(g, theta, Accumulation.MIA)
+        alloc = solve_slot(problem)
+        p = np.array([alloc.powers.get(s, 0.0) for s in problem.senders])
+        slack = info(problem, alloc) - theta
+        assert slack.min() >= -1e-9 * theta
+        binding = slack <= 1e-9 * theta
+        support = p > 0.0
+        d = g / (1.0 + p[:, None] * g)
+        nu = np.linalg.lstsq(d[np.ix_(support, binding)],
+                             np.ones(int(support.sum())), rcond=None)[0]
+        assert nu.min() >= -1e-9 * nu.max()
         reduced = 1.0 - d[:, binding] @ nu
         assert np.abs(reduced[support]).max() <= 1e-9
         assert np.all(reduced[~support] >= -1e-9)
@@ -210,6 +279,14 @@ def test_cost_scales_inversely_with_gains(accumulation):
             base = solve_slot(slot(g, LN2, accumulation)).cost
             scaled = solve_slot(slot(c * g, LN2, accumulation)).cost
             assert scaled == pytest.approx(base / c, rel=1e-7)
+
+
+@pytest.mark.parametrize("accumulation", [Accumulation.EA, Accumulation.MIA])
+def test_weak_receiver_is_covered_at_its_own_scale(accumulation):
+    # the second receiver's only gain is 1e-10 of the slot's largest; it must
+    # be served, not lost below an absolute pivot tolerance
+    alloc = solve_slot(slot([[1.0, 0.0], [0.0, 1e-10]], 0.7, accumulation))
+    assert alloc.cost == pytest.approx(math.expm1(0.7) * (1.0 + 1e10), rel=1e-12)
 
 
 @pytest.mark.parametrize("accumulation", [Accumulation.EA, Accumulation.MIA])
