@@ -14,17 +14,17 @@ from .oracle import (ea_vertex_optimum, exact_integral_slot, exhaustive_global,
 from .ordering import (brute_force_ordering, dijkstra_ordering, gain_ordering,
                        random_ordering, shortest_path_distances)
 from .power import SlotProblem, solve_slot, waterfill_single_receiver
-from .schedule import (CostMatrix, SlotCache, SolveResult, UnicastResult,
-                       UnicastTable, dmect_go, link_power_matrix, unicast_ea)
+from .schedule import (SlotCache, SolveResult, UnicastResult, dmect_go,
+                       link_power_matrix, unicast_ea)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Accumulation", "CapExceededError", "CostMatrix", "DegenerateDrawError",
+    "Accumulation", "CapExceededError", "DegenerateDrawError",
     "DisconnectedError", "DmectError", "InfeasibleError", "Instance",
     "Ordering", "PowerAllocation", "Schedule", "Slot", "SlotCache",
     "SlotProblem", "SolveResult", "SolverConvergenceError", "TopologyConfig",
-    "UnicastResult", "UnicastTable", "Verdict",
+    "UnicastResult", "Verdict",
     "accumulated_info", "broadcast_destinations", "brute_force_ordering",
     "dijkstra_ordering", "dmect_go",
     "ea_vertex_optimum", "exact_integral_slot", "exhaustive_global",

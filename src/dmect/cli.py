@@ -147,17 +147,17 @@ def cmd_solve(instance_file, mode, accum, t_slots, ordering_sel, solver, dest,
             "pass --heuristic to accept the ordering-based heuristic")
 
     if mode == "unicast" and instance.accumulation is Accumulation.EA:
+        ordering = None
         result = unicast_ea(instance, next(iter(instance.destinations)), T)
-        cost, schedule, ordering = result.cost, result.schedule, None
     else:
         ordering = _pick_ordering(instance, ordering_sel, T)
         solve = noncoop_solve if solver == "noncoop" else dmect_go
         result = solve(instance, ordering, T)
-        cost, schedule = result.cost, result.schedule
-        if schedule is None:
+        if result.schedule is None:
             raise InfeasibleError(
                 f"cannot cover the destinations within {T} slots "
                 f"(first blocked prefix position: {result.blocked})")
+    cost, schedule = result.cost, result.schedule
 
     verdict = verify_schedule(instance, schedule)
     if not verdict:

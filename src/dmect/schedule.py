@@ -1,17 +1,19 @@
-"""Delay-constrained scheduling by dynamic programming over a node ordering.
+"""Delay-constrained scheduling by a hop-bounded shortest-path recursion.
 
 Fixing an ordering of the nodes (source first), any cooperative schedule
 that decodes nodes in that order is described by a nondecreasing sequence
 of prefix lengths, one per slot: the slot's transmitters are the whole
 decoded prefix and its receivers are the next stretch of the ordering.
-The minimum-energy schedule within T slots then satisfies
+The minimum-energy schedule within T slots is then a cheapest walk of at
+most T hops over prefix lengths (Bellman's bounded-hop recursion):
 
-    C[j][t] = min_{1 <= k <= j}  C[k][t-1] + cp(prefix k, positions k+1..j)
+    C[j][t] = min_{k <= j}  C[k][t-1] + cp(prefix k, positions k+1..j)
 
-with C[1][t] = 0, where cp is the one-slot optimum from solve_slot and the
-k = j term carries a solution that finishes early. Slot optima depend only
-on the sender/receiver sets, so they are memoized; the DP stays within the
-O(n^2 T) slot-solve budget and typically far below it.
+with C[1][0] = 0, where cp is the one-slot optimum from solve_slot and the
+zero-cost k = j term is a slot spent waiting. Unicast under energy
+accumulation is the same recursion on the direct-link power graph. Slot
+optima depend only on the sender/receiver sets, so they are memoized; the
+DP stays within the O(n^2 T) slot-solve budget and typically far below it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from .power import SlotProblem, solve_slot
 def link_power_matrix(instance: Instance) -> np.ndarray:
     """Direct-link power w(i -> j) = (e^theta - 1) / h_ij; inf where h is zero."""
     alpha = math.expm1(instance.theta)
-    with np.errstate(divide="ignore"):
+    # an overflowed power is +inf on purpose: no finite schedule loses by skipping it
+    with np.errstate(divide="ignore", over="ignore"):
         w = alpha / instance.gains
     return w
 
@@ -71,16 +74,6 @@ class SlotCache:
 
 
 @dataclass(frozen=True)
-class CostMatrix:
-    """DP table, 1-based in both axes: costs[j][t] covers the first j ordered
-    nodes within t slots. Infeasible cells hold inf; argmin holds the
-    breakpoint k chosen for the cell, -1 where undefined."""
-
-    costs: np.ndarray
-    argmin: np.ndarray
-
-
-@dataclass(frozen=True)
 class SolveResult:
     """Outcome of a delay-constrained solve.
 
@@ -91,40 +84,62 @@ class SolveResult:
 
     cost: float
     schedule: Schedule | None
-    table: CostMatrix
     target: int
     blocked: int | None = None
 
 
+@dataclass(frozen=True)
+class UnicastResult:
+    """Outcome of unicast_ea; an unreachable destination raises instead."""
+
+    cost: float
+    schedule: Schedule
+
+
+def _hop_dp(w: np.ndarray, start: int, T: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cheapest walks from ``start`` of at most T hops over edge costs ``w``.
+
+    ``w[i, i]`` must be 0: a self-loop is a slot spent waiting. costs[i, t]
+    is the cheapest walk to i within t hops and pred[i, t] the tail of its
+    last hop (i itself for a wait); argmin keeps the first minimum, so ties
+    go to the smallest tail.
+    """
+    n = w.shape[0]
+    costs = np.full((n, T + 1), np.inf)
+    pred = np.zeros((n, T + 1), dtype=int)
+    costs[start, 0] = 0.0
+    for t in range(1, T + 1):
+        via = costs[:, t - 1, None] + w
+        pred[:, t] = np.argmin(via, axis=0)
+        costs[:, t] = via.min(axis=0)
+    return costs, pred
+
+
+def _walk_back(pred: np.ndarray, start: int, end: int, T: int) -> list[tuple[int, int]]:
+    """The hops (k, i) of the walk to ``end`` within T hops, waits dropped."""
+    hops = []
+    i, t = end, T
+    while i != start:
+        k = int(pred[i, t])
+        if k != i:
+            hops.append((k, i))
+        i, t = k, t - 1
+    return hops[::-1]
+
+
 def _slot_cost_matrix(cache: SlotCache, order: tuple[int, ...], target: int) -> np.ndarray:
-    m = np.full((target + 1, target + 1), np.inf)
-    for j in range(1, target + 1):
-        m[j, j] = 0.0
-        senders = frozenset(order[:j])
-        for i in range(j + 1, target + 1):
-            m[j, i] = cache.cost(senders, frozenset(order[j:i]))
+    # m[k, i]: one slot from prefix positions 0..k to positions k+1..i
+    m = np.full((target, target), np.inf)
+    for k in range(target):
+        m[k, k] = 0.0
+        senders = frozenset(order[:k + 1])
+        for i in range(k + 1, target):
+            m[k, i] = cache.cost(senders, frozenset(order[k + 1:i + 1]))
     return m
 
 
 def _target_position(instance: Instance, ordering: Ordering) -> int:
     return 1 + max(ordering.position[d] for d in instance.destinations)
-
-
-def _reconstruct(cache: SlotCache, order, argmin, target: int, T: int) -> Schedule:
-    slots = []
-    j, t = target, T
-    while j > 1:
-        k = int(argmin[j, t])
-        if k < j:
-            senders = frozenset(order[:k])
-            receivers = frozenset(order[k:j])
-            alloc = cache.allocation(senders, receivers)
-            slots.append(Slot(senders=frozenset(alloc.powers),
-                              receivers=receivers,
-                              powers=dict(alloc.powers)))
-        j, t = k, t - 1
-    slots.reverse()
-    return Schedule(slots=tuple(slots))
 
 
 def dmect_go(instance: Instance, ordering: Ordering, T: int,
@@ -145,49 +160,22 @@ def dmect_go(instance: Instance, ordering: Ordering, T: int,
     if cache is None:
         cache = SlotCache(instance)
     order = ordering.order
-    n = instance.n
     target = _target_position(instance, ordering)
-    m = _slot_cost_matrix(cache, order, target)
+    costs, pred = _hop_dp(_slot_cost_matrix(cache, order, target), 0, T)
 
-    costs = np.full((n + 1, T + 1), np.inf)
-    argmin = np.full((n + 1, T + 1), -1, dtype=int)
-    costs[1, :] = 0.0
-    for t in range(1, T + 1):
-        # vals[k - 1, j - 2] = C[k][t-1] + m[k][j]; m is inf for k > j and
-        # argmin keeps the first minimum, so ties resolve to the smallest k
-        vals = costs[1:target + 1, t - 1, None] + m[1:, 2:]
-        k = np.argmin(vals, axis=0)
-        best = vals.min(axis=0)
-        costs[2:target + 1, t] = best
-        argmin[2:target + 1, t] = np.where(np.isfinite(best), k + 1, -1)
-    table = CostMatrix(costs=costs, argmin=argmin)
-
-    total = float(costs[target, T])
+    total = float(costs[target - 1, T])
     if not math.isfinite(total):
-        blocked = next(j for j in range(2, target + 1) if not np.isfinite(costs[j, T]))
-        return SolveResult(cost=math.inf, schedule=None, table=table,
-                           target=target, blocked=blocked)
-    schedule = _reconstruct(cache, order, argmin, target, T)
-    return SolveResult(cost=total, schedule=schedule, table=table, target=target)
-
-
-# ---------------------------------------------------------------------------
-# Unicast under energy accumulation: hop-bounded shortest path.
-
-@dataclass(frozen=True)
-class UnicastTable:
-    """costs[i][t] = cheapest way to reach node i within t slots; parent[i][t]
-    is the relaying predecessor, -1 at the source and -2 for "wait"."""
-
-    costs: np.ndarray
-    parent: np.ndarray
-
-
-@dataclass(frozen=True)
-class UnicastResult:
-    cost: float
-    schedule: Schedule
-    table: UnicastTable
+        blocked = 1 + int(np.flatnonzero(~np.isfinite(costs[:, T]))[0])
+        return SolveResult(cost=math.inf, schedule=None, target=target,
+                           blocked=blocked)
+    slots = []
+    for k, i in _walk_back(pred, 0, target - 1, T):
+        receivers = frozenset(order[k + 1:i + 1])
+        alloc = cache.allocation(frozenset(order[:k + 1]), receivers)
+        slots.append(Slot(senders=frozenset(alloc.powers), receivers=receivers,
+                          powers=dict(alloc.powers)))
+    return SolveResult(cost=total, schedule=Schedule(slots=tuple(slots)),
+                       target=target)
 
 
 def unicast_ea(instance: Instance, dest: int, T: int) -> UnicastResult:
@@ -195,9 +183,8 @@ def unicast_ea(instance: Instance, dest: int, T: int) -> UnicastResult:
 
     For a single destination the optimum rides a simple relay path, each
     hop spending w(k -> i) = (e^theta - 1) / h_ki, so the delay-constrained
-    problem is a shortest path with at most T edges:
-
-        C[i][t] = min(C[i][t-1],  min_k C[k][t-1] + w(k -> i))
+    problem is the same recursion as dmect_go's, run on the direct-link
+    power graph from the source.
 
     Only valid for energy accumulation; the mutual-information variant has
     no known polynomial solver and must go through dmect_go heuristically.
@@ -210,38 +197,14 @@ def unicast_ea(instance: Instance, dest: int, T: int) -> UnicastResult:
     if T < 1:
         raise ValueError(f"need at least one slot, got T={T}")
 
-    n = instance.n
     w = link_power_matrix(instance)
-    costs = np.full((n, T + 1), np.inf)
-    parent = np.full((n, T + 1), -1, dtype=int)
-    costs[instance.source, :] = 0.0
-    for t in range(1, T + 1):
-        base = costs[:, t - 1]
-        via = base[:, None] + w
-        k = np.argmin(via, axis=0)
-        best = via[k, np.arange(n)]
-        stay = base
-        take = best < stay
-        costs[:, t] = np.where(take, best, stay)
-        parent[:, t] = np.where(take, k, -2)
-        parent[instance.source, t] = -1
-    table = UnicastTable(costs=costs, parent=parent)
-
+    np.fill_diagonal(w, 0.0)
+    costs, pred = _hop_dp(w, instance.source, T)
     total = float(costs[dest, T])
     if not math.isfinite(total):
         raise InfeasibleError(f"destination {dest} unreachable within {T} slots",
                               receiver=dest)
-    hops = []
-    i, t = dest, T
-    while i != instance.source:
-        k = int(parent[i, t])
-        if k == -2:
-            t -= 1
-            continue
-        hops.append((k, i))
-        i, t = k, t - 1
-    hops.reverse()
     slots = tuple(Slot(senders=frozenset({k}), receivers=frozenset({i}),
                        powers={k: float(w[k, i])})
-                  for k, i in hops)
-    return UnicastResult(cost=total, schedule=Schedule(slots=slots), table=table)
+                  for k, i in _walk_back(pred, instance.source, dest, T))
+    return UnicastResult(cost=total, schedule=Schedule(slots=slots))

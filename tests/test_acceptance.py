@@ -243,7 +243,7 @@ def test_c10_costs_scale_inversely_with_the_gain_scale():
             base_nc = noncoop_solve(inst, order, 3).cost
             base_uc = unicast_ea(inst, 7, 3).cost \
                 if mode is Accumulation.EA else None
-            for c in (0.1, 10.0):
+            for c in (0.1, 10.0, 1e-200, 1e200):
                 scaled = dataclasses.replace(inst, gains=c * inst.gains)
                 worst = max(worst, abs(dmect_go(scaled, order, 3).cost
                                        - base_go / c) / (base_go / c))
@@ -253,9 +253,9 @@ def test_c10_costs_scale_inversely_with_the_gain_scale():
                     worst = max(worst, abs(unicast_ea(scaled, 7, 3).cost
                                            - base_uc / c) / (base_uc / c))
     _line(10, worst <= 1e-7,
-          f"scaling all gains by c in {{0.1, 10}} scales every solver's cost "
-          f"by 1/c on 20 instances, both modes: worst relative error = "
-          f"{worst:.2e} (tol 1e-7)")
+          f"scaling all gains by c in {{0.1, 10, 1e-200, 1e200}} scales every "
+          f"solver's cost by 1/c on 20 instances, both modes: worst relative "
+          f"error = {worst:.2e} (tol 1e-7)")
 
 
 def test_c11_large_broadcast_completes_within_budget():

@@ -207,6 +207,21 @@ def test_solve_mia_beyond_the_float_range_is_exit_5(capsys, tmp_path):
     assert err.startswith("solver error: barrier left the float range")
 
 
+def test_solve_ea_near_the_float_limit_skips_overflowed_slots(capsys, tmp_path):
+    # at theta = 700 some slot powers overflow to inf: those slots are
+    # unaffordable, and the cheapest schedule avoids them without a warning
+    path = tmp_path / "hot.json"
+    assert run(capsys, "gen", "--n", "8", "--seed", "3", "--theta", "700",
+               "--out", str(path))[0] == 0
+    code, out, err = run(capsys, "solve", str(path), "--t", "3", "--accum", "ea")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["cost"] == pytest.approx(7.49899636e305, rel=1e-8)
+    assert verify_schedule(load_instance(path), schedule_from_dict(payload["schedule"]))
+    # with one slot every schedule costs more than the float range
+    assert run(capsys, "solve", str(path), "--t", "1", "--solver", "noncoop")[0] == 2
+
+
 def test_solve_usage_errors(capsys, inst_file, tmp_path):
     assert run(capsys, "solve", str(tmp_path / "missing.json"))[0] == 3
     assert run(capsys, "solve", inst_file, "--t", "0")[0] == 3

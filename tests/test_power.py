@@ -164,6 +164,15 @@ def test_mia_beyond_the_float_range_raises():
             solve_slot(slot(g, 700.0, Accumulation.MIA))
 
 
+def test_mia_far_from_phase1_still_converges():
+    # at theta = 200 the phase-1 start lies ~e^100 above the optimum, more
+    # than a fixed cap of tenfold barrier steps could close
+    g = np.array([2.0, 1.0, 0.5])
+    got = solve_slot(slot(g[:, None], 200.0, Accumulation.MIA)).cost
+    want = waterfill_single_receiver(g, 200.0).cost
+    assert got == pytest.approx(want, rel=1e-9)
+
+
 def test_mia_multi_receiver_feasible_and_never_above_ea():
     rng = np.random.default_rng(11)
     for _ in range(50):

@@ -47,21 +47,19 @@ def test_line3_extra_slots_do_not_help(line3):
         assert verify_schedule(line3, result.schedule)
 
 
-def test_source_prefix_is_always_free(line3):
-    table = dmect_go(line3, ORDER3, T=3).table
-    assert np.all(table.costs[1, :] == 0.0)
-
-
 # ---------------------------------------------------------------------------
-# Table structure on random instances
+# Cost structure on random instances
 
 @pytest.mark.parametrize("mode", [Accumulation.EA, Accumulation.MIA])
 def test_costs_monotone_in_deadline_and_prefix(mode):
     inst = topo(7, seed=4, accumulation=mode)
     order = Ordering(order=tuple(range(7)))
-    table = dmect_go(inst, order, T=5).table
-    costs = table.costs[1:, 1:]
-    # more slots never hurt; covering a longer prefix never gets cheaper
+    cache = SlotCache(inst)
+    # more slots never hurt; covering a longer prefix never gets cheaper.
+    # Multicast to node j covers exactly the prefix order[:j + 1].
+    costs = np.array([[dmect_go(dataclasses.replace(inst, destinations=frozenset({j})),
+                                order, T, cache=cache).cost
+                       for T in range(1, 6)] for j in range(1, 7)])
     assert np.all(np.diff(costs, axis=1) <= 1e-9)
     assert np.all(np.diff(costs, axis=0) >= -1e-9)
 
@@ -184,6 +182,18 @@ def test_unicast_rejects_bad_destination(line3):
         unicast_ea(line3, 0, T=2)
     with pytest.raises(ValueError, match="destination"):
         unicast_ea(line3, 9, T=2)
+
+
+def test_unicast_beyond_the_hop_bound_raises():
+    # 0 -- 1 -- 2 with no 0 -- 2 link: reachable in two hops, not in one
+    g = np.zeros((3, 3))
+    g[0, 1] = g[1, 0] = g[1, 2] = g[2, 1] = 1.0
+    inst = Instance(n=3, gains=g, source=0, destinations=frozenset({2}),
+                    theta=math.log(2.0))
+    assert unicast_ea(inst, 2, T=2).cost == pytest.approx(2.0)
+    with pytest.raises(InfeasibleError) as exc:
+        unicast_ea(inst, 2, T=1)
+    assert exc.value.receiver == 2
 
 
 def test_unicast_unreachable_raises():
