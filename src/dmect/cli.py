@@ -21,8 +21,7 @@ from pathlib import Path
 
 import click
 
-from . import netgen, ordering as ordering_mod
-from .baseline import greedy_solver, noncoop_solve
+from . import baseline, netgen, ordering as ordering_mod
 from .errors import CapExceededError, DmectError, InfeasibleError
 from .model import (Accumulation, Instance, Ordering, broadcast_destinations,
                     instance_to_dict, load_instance, schedule_to_dict,
@@ -151,7 +150,7 @@ def cmd_solve(instance_file, mode, accum, t_slots, ordering_sel, solver, dest,
         result = unicast_ea(instance, next(iter(instance.destinations)), T)
     else:
         ordering = _pick_ordering(instance, ordering_sel, T)
-        solve = noncoop_solve if solver == "noncoop" else dmect_go
+        solve = baseline.noncoop_solve if solver == "noncoop" else dmect_go
         result = solve(instance, ordering, T)
         if result.schedule is None:
             raise InfeasibleError(
@@ -201,7 +200,7 @@ def cmd_sweep(instance_file, t_min, t_max, accums, solvers, out):
         inst = dataclasses.replace(base, accumulation=Accumulation(accum))
         for solver in sorted(set(solvers)):
             if solver == "noncoop":
-                run, cache = noncoop_solve, SlotCache(inst, solver=greedy_solver)
+                run, cache = baseline.noncoop_solve, SlotCache(inst, solver=baseline.greedy_slot)
             else:
                 run, cache = dmect_go, SlotCache(inst)
             for T in range(t_min, t_max + 1):
@@ -262,8 +261,9 @@ def cmd_oracle(instance_file, t_slots, scope, ordering_sel):
     else:
         reference = exhaustive_global(instance, t_slots, cache=cache)
         _, solver = ordering_mod.brute_force_ordering(instance, t_slots, cache=cache)
-    click.echo(f"oracle={_fmt(reference)} solver={_fmt(solver)} "
-               f"delta={_fmt(abs(reference - solver))}")
+    # equal infinities (nothing fits in T slots) agree; inf - inf would be nan
+    delta = 0.0 if reference == solver else abs(reference - solver)
+    click.echo(f"oracle={_fmt(reference)} solver={_fmt(solver)} delta={_fmt(delta)}")
 
 
 def main(argv=None) -> int:

@@ -204,7 +204,7 @@ class Verdict:
 def verify_schedule(instance: Instance, schedule: Schedule, tolerance: float = 1e-6) -> Verdict:
     """Check a schedule against the instance; report the first violation.
 
-    Checks, per slot: powers are nonnegative and assigned to senders only,
+    Checks, per slot: powers are finite, nonnegative and on senders only,
     senders and receivers are disjoint, every sender has already decoded
     (or is the source), no receiver decodes twice, and every receiver
     accumulates at least theta * (1 - tolerance). Finally every destination
@@ -212,7 +212,9 @@ def verify_schedule(instance: Instance, schedule: Schedule, tolerance: float = 1
     """
     decoded = {instance.source}
     for t, slot in enumerate(schedule.slots, start=1):
-        bad_power = sorted(k for k, v in slot.powers.items() if v < 0.0 or k not in slot.senders)
+        # written so that a NaN fails every comparison here and below
+        bad_power = sorted(k for k, v in slot.powers.items()
+                           if not 0.0 <= v < math.inf or k not in slot.senders)
         if bad_power:
             node = bad_power[0]
             return Verdict(False, "power", t, node,
@@ -234,7 +236,7 @@ def verify_schedule(instance: Instance, schedule: Schedule, tolerance: float = 1
                            f"slot {t}: node {node} already decoded")
         for r in sorted(slot.receivers):
             info = accumulated_info(slot.senders, slot.powers, r, instance)
-            if info < instance.theta * (1.0 - tolerance):
+            if not info >= instance.theta * (1.0 - tolerance):
                 return Verdict(False, "decoding", t, r,
                                f"slot {t}: node {r} accumulates {info:.9g} < theta "
                                f"{instance.theta:.9g}")

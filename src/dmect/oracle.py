@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import CapExceededError, InfeasibleError
 from .model import Instance, Ordering
+from .power import SlotProblem
 from .schedule import SlotCache, _target_position
 
 PARTITION_CAP_N = 10
@@ -92,33 +93,27 @@ def exhaustive_global(instance: Instance, T: int,
     return best_from(frozenset({instance.source}), T)
 
 
-def exact_integral_slot(senders, receivers, instance: Instance) -> float:
+def exact_integral_slot(problem: SlotProblem) -> float:
     """Exact optimum of the non-cooperative slot by set-cover enumeration.
 
     Candidates are (sender, threshold power) pairs; a subset-mask DP takes
     the exact minimum total power whose picks cover every receiver. Upper
     bound for solve_slot, lower bound for greedy_slot.
     """
-    senders = sorted(int(s) for s in senders)
-    receivers = sorted(int(r) for r in receivers)
-    if len(receivers) > INTEGRAL_CAP_RECEIVERS:
+    nr = len(problem.receivers)
+    if nr > INTEGRAL_CAP_RECEIVERS:
         raise CapExceededError(
             f"exact_integral_slot capped at {INTEGRAL_CAP_RECEIVERS} receivers; "
-            f"got {len(receivers)}")
-    if not receivers:
+            f"got {nr}")
+    if not nr:
         return 0.0
-    alpha = math.expm1(instance.theta)
-    h = instance.gains
-    bit = {r: 1 << i for i, r in enumerate(receivers)}
+    alpha = math.expm1(problem.theta)
     candidates = []
-    for s in senders:
-        for threshold in sorted({float(h[s, r]) for r in receivers if h[s, r] > 0.0}):
-            mask = 0
-            for r in receivers:
-                if h[s, r] >= threshold:
-                    mask |= bit[r]
+    for row in problem.gains.tolist():
+        for threshold in sorted({g for g in row if g > 0.0}):
+            mask = sum(1 << j for j, g in enumerate(row) if g >= threshold)
             candidates.append((alpha / threshold, mask))
-    full = (1 << len(receivers)) - 1
+    full = (1 << nr) - 1
     dp = np.full(full + 1, np.inf)
     dp[0] = 0.0
     for state in range(full + 1):
@@ -129,7 +124,8 @@ def exact_integral_slot(senders, receivers, instance: Instance) -> float:
             if nxt != state and dp[state] + weight < dp[nxt]:
                 dp[nxt] = dp[state] + weight
     if not np.isfinite(dp[full]):
-        stuck = min(r for r in receivers if all(h[s, r] <= 0.0 for s in senders))
+        stuck = next(r for j, r in enumerate(problem.receivers)
+                     if not np.any(problem.gains[:, j] > 0.0))
         raise InfeasibleError(f"receiver {stuck} has zero gain from every sender",
                               receiver=stuck)
     return float(dp[full])

@@ -70,7 +70,8 @@ def brute_force_ordering(instance: Instance, T: int,
 
     Slot optima are shared across orderings through one cache; pass a
     shared ``cache`` to keep them for later solves on the same instance.
-    Ties keep the lexicographically smallest ordering.
+    Ties keep the lexicographically smallest ordering, so when no ordering
+    fits in T slots the first one comes back with an infinite cost.
     """
     if instance.n > BRUTE_FORCE_CAP:
         raise CapExceededError(
@@ -83,7 +84,7 @@ def brute_force_ordering(instance: Instance, T: int,
     for perm in itertools.permutations(rest):
         ordering = Ordering(order=(instance.source, *perm))
         cost = dmect_go(instance, ordering, T, cache=cache).cost
-        if cost < best_cost:
+        if best_order is None or cost < best_cost:
             best_cost = cost
             best_order = ordering
     return best_order, float(best_cost)

@@ -311,7 +311,7 @@ def _mia_polish(gains: np.ndarray, theta: float, q: np.ndarray,
     support = np.flatnonzero(q >= q_prev / split)
     if active.size == 0 or support.size < active.size:
         return q
-    nu0 = 1.0 / (t * np.maximum(slack[active], theta / t ** 2))
+    nu0 = 1.0 / (t * slack[active])   # centres are strictly feasible: slack > 0
     p = _polish_newton(gains, theta, support, active, q[support], nu0)
     if p is None:
         return q

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError
-from .model import (EMPTY_ALLOCATION, Accumulation, Instance, Ordering,
-                    PowerAllocation, Schedule, Slot)
+from .model import (Accumulation, Instance, Ordering, PowerAllocation,
+                    Schedule, Slot)
 from .power import SlotProblem, solve_slot
 
 
@@ -38,32 +38,29 @@ def link_power_matrix(instance: Instance) -> np.ndarray:
     return w
 
 
-def _cp_solver(instance: Instance, senders: frozenset, receivers: frozenset) -> PowerAllocation:
-    return solve_slot(SlotProblem.from_instance(instance, senders, receivers))
-
-
 class SlotCache:
     """Memoized one-slot allocations for one instance, keyed by node sets.
 
-    Infeasible slots are cached as None and surface as an infinite cost.
-    A custom ``solver(instance, senders, receivers)`` swaps in alternative
-    per-slot allocators (e.g. the non-cooperative greedy baseline).
+    Each distinct slot is built once as a ``SlotProblem`` and handed to the
+    allocator, ``solver(problem) -> PowerAllocation``: ``solve_slot`` by
+    default, looked up when called, or another allocator with the same
+    contract (e.g. the non-cooperative ``greedy_slot``). Infeasible slots
+    are cached as None and surface as an infinite cost.
     """
 
-    def __init__(self, instance: Instance, solver=_cp_solver):
+    def __init__(self, instance: Instance, solver=None):
         self.instance = instance
         self._solver = solver
         self._store: dict[tuple[frozenset, frozenset], PowerAllocation | None] = {}
         self.solve_count = 0
 
     def allocation(self, senders: frozenset, receivers: frozenset) -> PowerAllocation | None:
-        if not receivers:
-            return EMPTY_ALLOCATION
         key = (frozenset(senders), frozenset(receivers))
         if key not in self._store:
             self.solve_count += 1
+            problem = SlotProblem.from_instance(self.instance, *key)
             try:
-                self._store[key] = self._solver(self.instance, key[0], key[1])
+                self._store[key] = (self._solver or solve_slot)(problem)
             except InfeasibleError:
                 self._store[key] = None
         return self._store[key]

@@ -14,17 +14,20 @@ from dmect import (Accumulation, InfeasibleError, Instance, Ordering, SlotProble
 from conftest import topo
 
 
+def slot(instance, senders, receivers) -> SlotProblem:
+    return SlotProblem.from_instance(instance, senders, receivers)
+
+
 def test_greedy_single_sender_covers_at_the_weakest_gain(line3):
-    alloc, assignment = greedy_slot({0}, {1, 2}, line3)
+    alloc = greedy_slot(slot(line3, {0}, {1, 2}))
     # the long hop to node 2 dictates p = 1 / 0.1
     assert alloc.powers == pytest.approx({0: 10.0})
-    assert assignment == {1: 0, 2: 0}
 
 
 def test_greedy_prefers_the_cheap_ratio(line3):
-    alloc, assignment = greedy_slot({0, 1}, {2}, line3)
+    alloc = greedy_slot(slot(line3, {0, 1}, {2}))
+    # the relay hop (gain 1) beats the direct one (gain 0.1); node 0 idles
     assert alloc.powers == pytest.approx({1: 1.0})
-    assert assignment == {2: 1}
 
 
 def test_greedy_merges_powers_per_sender():
@@ -36,16 +39,16 @@ def test_greedy_merges_powers_per_sender():
     g[1, 2] = g[2, 1] = g[1, 3] = g[3, 1] = g[2, 3] = g[3, 2] = 1e-6
     inst = Instance(n=4, gains=g, source=0, destinations=frozenset({1, 2, 3}),
                     theta=math.log(2.0))
-    alloc, assignment = greedy_slot({0}, {1, 2, 3}, inst)
+    problem = slot(inst, {0}, {1, 2, 3})
+    alloc = greedy_slot(problem)
     assert alloc.powers == pytest.approx({0: 4.0})
-    assert set(assignment) == {1, 2, 3}
-    assert alloc.cost == pytest.approx(exact_integral_slot({0}, {1, 2, 3}, inst))
+    assert alloc.cost == pytest.approx(exact_integral_slot(problem))
 
 
 def test_greedy_empty_receivers_cost_nothing(line3):
-    alloc, assignment = greedy_slot({0}, set(), line3)
+    alloc = greedy_slot(slot(line3, {0}, set()))
     assert alloc.cost == 0.0
-    assert assignment == {}
+    assert alloc.powers == {}
 
 
 def test_greedy_unreachable_receiver(line3):
@@ -54,19 +57,21 @@ def test_greedy_unreachable_receiver(line3):
     inst = Instance(n=3, gains=g, source=0, destinations=frozenset({1, 2}),
                     theta=math.log(2.0))
     with pytest.raises(InfeasibleError) as exc:
-        greedy_slot({0, 1}, {2}, inst)
+        greedy_slot(slot(inst, {0, 1}, {2}))
     assert exc.value.receiver == 2
 
 
 def test_greedy_assignment_really_covers():
+    # every receiver hears some single sender above the threshold on its own
     for seed in range(10):
         inst = topo(8, seed=seed)
         senders, receivers = {0, 1, 2}, {3, 4, 5, 6, 7}
-        alloc, assignment = greedy_slot(senders, receivers, inst)
+        alloc = greedy_slot(slot(inst, senders, receivers))
         alpha = math.expm1(inst.theta)
-        assert set(assignment) == receivers
-        for r, s in assignment.items():
-            assert alloc.powers[s] * inst.gains[s, r] >= alpha - 1e-9
+        assert set(alloc.powers) <= senders
+        for r in receivers:
+            assert any(p * inst.gains[s, r] >= alpha - 1e-9
+                       for s, p in alloc.powers.items())
 
 
 def test_greedy_sandwiched_between_exact_bounds():
@@ -77,9 +82,10 @@ def test_greedy_sandwiched_between_exact_bounds():
         inst = topo(8, seed=seed, accumulation=Accumulation.EA)
         senders = set(range(3))
         receivers = set(range(3, 8))
-        coop = solve_slot(SlotProblem.from_instance(inst, senders, receivers)).cost
-        exact = exact_integral_slot(senders, receivers, inst)
-        greedy = greedy_slot(senders, receivers, inst)[0].cost
+        problem = slot(inst, senders, receivers)
+        coop = solve_slot(problem).cost
+        exact = exact_integral_slot(problem)
+        greedy = greedy_slot(problem).cost
         assert coop <= exact + 1e-9
         assert exact <= greedy + 1e-9
         assert greedy <= hm * exact + 1e-9
@@ -134,7 +140,7 @@ def test_exact_integral_matches_brute_force_on_tiny_slots():
                                   for s in senders)}
                 if covered == receivers:
                     want = min(want, sum(power.values()))
-        got = exact_integral_slot(senders, receivers, inst)
+        got = exact_integral_slot(slot(inst, senders, receivers))
         assert got == pytest.approx(want, rel=1e-9)
 
 
@@ -142,4 +148,4 @@ def test_exact_integral_cap():
     from dmect import CapExceededError
     inst = topo(15, seed=0)
     with pytest.raises(CapExceededError):
-        exact_integral_slot({0}, set(range(1, 15)), inst)
+        exact_integral_slot(slot(inst, {0}, set(range(1, 15))))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dmect.model
 from dmect import (Accumulation, Instance, Ordering, Schedule, Slot,
                    accumulated_info, broadcast_destinations, instance_from_dict,
                    instance_to_dict, load_instance, save_instance,
@@ -143,6 +144,9 @@ def test_verify_accepts_feasible_schedule(line3):
     ((Slot(senders={0}, receivers={1}, powers={0: 0.5}),), "decoding", 1, 1),
     # destination 2 never covered
     ((Slot(senders={0}, receivers={1}, powers={0: 1.0}),), "coverage", 1, 2),
+    # non-finite powers
+    ((Slot(senders={0}, receivers={1, 2}, powers={0: math.nan}),), "power", 1, 0),
+    ((Slot(senders={0}, receivers={1, 2}, powers={0: math.inf}),), "power", 1, 0),
 ])
 def test_verify_reports_first_violation(line3, slots, kind, slot_no, node):
     verdict = verify_schedule(line3, Schedule(slots=slots))
@@ -165,6 +169,13 @@ def test_verify_tolerance_is_relative_to_theta(line3):
     slots = (Slot(senders={0}, receivers={1, 2}, powers={0: 0.0}),)
     verdict = verify_schedule(inst, Schedule(slots=slots))
     assert verdict.kind == "decoding"
+
+
+def test_verify_nan_information_fails_decoding(line3, monkeypatch):
+    monkeypatch.setattr(dmect.model, "accumulated_info", lambda *args: math.nan)
+    verdict = verify_schedule(line3, good_line3_schedule())
+    assert verdict.kind == "decoding"
+    assert verdict.node == 1
 
 
 def test_verify_empty_schedule_fails_coverage(line3):

@@ -143,7 +143,7 @@ def test_mia_matches_waterfilling_on_single_receiver_slots():
         assert got == pytest.approx(want, rel=1e-8, abs=1e-9)
 
 
-@pytest.mark.parametrize("theta", [1e-12, 1e-6, 100.0])
+@pytest.mark.parametrize("theta", [1e-12, 1e-6, 100.0, 150.0, 200.0, 300.0])
 def test_mia_matches_waterfilling_across_theta(theta):
     rng = np.random.default_rng(79)
     for _ in range(30):

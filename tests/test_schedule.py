@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from dmect import (Accumulation, InfeasibleError, Instance, Ordering, SlotCache,
-                   dmect_go, link_power_matrix, noncoop_solve,
+                   dmect_go, greedy_slot, link_power_matrix, noncoop_solve,
                    shortest_path_distances, unicast_ea, verify_schedule)
-from dmect.baseline import greedy_solver
 from conftest import line3_gains, topo
 
 ORDER3 = Ordering(order=(0, 1, 2))
@@ -88,7 +87,7 @@ def test_slot_solves_stay_within_the_quadratic_budget():
 
 @pytest.mark.parametrize("solve, make_cache", [
     (dmect_go, SlotCache),
-    (noncoop_solve, lambda inst: SlotCache(inst, solver=greedy_solver)),
+    (noncoop_solve, lambda inst: SlotCache(inst, solver=greedy_slot)),
 ], ids=["coop", "noncoop"])
 def test_shared_cache_is_reused_across_deadlines(solve, make_cache):
     inst = topo(6, seed=3)
