@@ -10,9 +10,9 @@ from .model import (Accumulation, Instance, Ordering, PowerAllocation, Schedule,
                     verify_schedule)
 from .netgen import TopologyConfig, generate
 from .oracle import (ea_vertex_optimum, exact_integral_slot, exhaustive_global,
-                     exhaustive_partition)
+                     exhaustive_partition, shortest_path_distances)
 from .ordering import (brute_force_ordering, dijkstra_ordering, gain_ordering,
-                       random_ordering, shortest_path_distances)
+                       random_ordering)
 from .power import SlotProblem, solve_slot, waterfill_single_receiver
 from .schedule import (SlotCache, SolveResult, UnicastResult, dmect_go,
                        link_power_matrix, unicast_ea)

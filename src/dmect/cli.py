@@ -24,8 +24,8 @@ import click
 from . import baseline, netgen, ordering as ordering_mod
 from .errors import CapExceededError, DmectError, InfeasibleError
 from .model import (Accumulation, Instance, Ordering, broadcast_destinations,
-                    instance_to_dict, load_instance, schedule_to_dict,
-                    verify_schedule)
+                    check_int_list, instance_to_dict, load_instance,
+                    schedule_to_dict, verify_schedule)
 from .oracle import exhaustive_global, exhaustive_partition
 from .schedule import SlotCache, dmect_go, unicast_ea
 
@@ -88,7 +88,7 @@ def _pick_ordering(instance: Instance, selector: str, T: int) -> Ordering:
         return ordering_mod.brute_force_ordering(instance, T)[0]
     if selector.startswith("file:"):
         with open(selector[5:]) as fh:
-            order = json.load(fh)
+            order = check_int_list(json.load(fh), "ordering file")
         ord_ = Ordering(order=tuple(order))
         if ord_.order[0] != instance.source:
             raise click.UsageError("ordering file must start at the source")

@@ -23,11 +23,18 @@ _THETA_MAX = math.log(sys.float_info.max)
 
 def check_theta(theta: float) -> float:
     """Validated decoding threshold: positive, with e^theta - 1 finite."""
-    theta = float(theta)
+    # compared before the float conversion, which overflows on a huge integer
     if not 0.0 < theta <= _THETA_MAX:
         raise ValueError(f"theta must be positive with finite e^theta - 1, "
                          f"got {theta}")
-    return theta
+    return float(theta)
+
+
+def _float_array(value, what: str) -> np.ndarray:
+    try:
+        return np.array(value, dtype=float)
+    except TypeError as exc:     # e.g. a JSON object where numbers belong
+        raise ValueError(f"{what} must be numeric") from exc
 
 
 class Accumulation(str, Enum):
@@ -58,7 +65,7 @@ class Instance:
         n = self.n
         if n < 2:
             raise ValueError(f"instance needs at least 2 nodes, got n={n}")
-        gains = np.array(self.gains, dtype=float)
+        gains = _float_array(self.gains, "gains")
         if gains.shape != (n, n):
             raise ValueError(f"gains must be {n}x{n}, got {gains.shape}")
         if not np.all(np.isfinite(gains)):
@@ -90,7 +97,7 @@ class Instance:
         object.__setattr__(self, "accumulation", Accumulation(self.accumulation))
 
         if self.positions is not None:
-            pos = np.array(self.positions, dtype=float)
+            pos = _float_array(self.positions, "positions")
             if pos.shape != (n, 2):
                 raise ValueError(f"positions must be {n}x2, got {pos.shape}")
             pos.setflags(write=False)
@@ -266,17 +273,36 @@ def instance_to_dict(instance: Instance) -> dict:
     return d
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_int_list(value, what: str) -> list[int]:
+    """``value`` if it is a JSON list of integers, else a ValueError naming ``what``."""
+    if not isinstance(value, list) or not all(_is_int(v) for v in value):
+        raise ValueError(f"{what} must be a list of integers")
+    return value
+
+
 def instance_from_dict(d: dict) -> Instance:
+    if not isinstance(d, dict):
+        raise ValueError("instance json must be an object")
     required = {"n", "source", "destinations", "theta", "accumulation", "gains"}
     missing = required - d.keys()
     if missing:
         raise ValueError(f"instance json missing fields: {sorted(missing)}")
+    for key in ("n", "source"):
+        if not _is_int(d[key]):
+            raise ValueError(f"instance json field {key!r} must be an integer")
+    if not (_is_int(d["theta"]) or isinstance(d["theta"], float)):
+        raise ValueError("instance json field 'theta' must be a number")
+    dests = check_int_list(d["destinations"], "instance json field 'destinations'")
     return Instance(
-        n=int(d["n"]),
+        n=d["n"],
         gains=d["gains"],
-        source=int(d["source"]),
-        destinations=frozenset(d["destinations"]),
-        theta=float(d["theta"]),
+        source=d["source"],
+        destinations=frozenset(dests),
+        theta=d["theta"],
         accumulation=Accumulation(d["accumulation"]),
         positions=d.get("positions"),
     )

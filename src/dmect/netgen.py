@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDrawError
-from .model import Accumulation, Instance, broadcast_destinations
+from .model import Accumulation, Instance, broadcast_destinations, check_theta
 
 _MAX_REDRAWS = 64
 
@@ -35,12 +35,11 @@ class TopologyConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"need n >= 2, got {self.n}")
-        if not (self.width > 0.0 and self.height > 0.0):
-            raise ValueError("field dimensions must be positive")
-        if self.eta <= 0.0:
-            raise ValueError("path-loss exponent must be positive")
-        if self.theta <= 0.0:
-            raise ValueError("theta must be positive")
+        if not (0.0 < self.width < math.inf and 0.0 < self.height < math.inf):
+            raise ValueError("field dimensions must be finite and positive")
+        if not 0.0 < self.eta < math.inf:
+            raise ValueError("path-loss exponent must be finite and positive")
+        check_theta(self.theta)
 
     @property
     def source_position(self) -> tuple[float, float]:

@@ -1,12 +1,14 @@
 """Brute-force references for correctness testing.
 
 Everything here enumerates directly and shares only the one-slot solver
-with the production code, never the scheduling DP. Hard caps keep the
+with the production code, never the scheduling DP; the heap Dijkstra is the
+reference for the DP's shortest-path distances. Hard caps keep the
 combinatorics honest; exceeding one raises instead of silently crawling.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 
@@ -21,6 +23,52 @@ PARTITION_CAP_N = 10
 PARTITION_CAP_T = 5
 GLOBAL_CAP_N = 6
 INTEGRAL_CAP_RECEIVERS = 12
+
+
+def shortest_path_distances(weights: np.ndarray, source: int) -> np.ndarray:
+    """Dijkstra over a dense nonnegative weight matrix; inf marks no edge."""
+    n = weights.shape[0]
+    dist = np.full(n, np.inf)
+    dist[source] = 0.0
+    done = np.zeros(n, dtype=bool)
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        row = weights[u]
+        for v in range(n):
+            if done[v] or not np.isfinite(row[v]):
+                continue
+            nd = d + row[v]
+            if nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return dist
+
+
+def _cheapest_chain(instance: Instance, T: int, cache: SlotCache, next_sets) -> float:
+    """Minimum cost over chains of at most T slots that decode every destination.
+
+    Each slot sends from the whole decoded set to one set of new receivers
+    from ``next_sets(decoded)``. Costs add left to right, as in the DP, and
+    a branch stops once its cost so far reaches the best chain.
+    """
+    best = math.inf
+
+    def extend(decoded: frozenset, spent: float, slots_left: int) -> None:
+        nonlocal best
+        if instance.destinations <= decoded:
+            best = spent
+        elif slots_left:
+            for new in next_sets(decoded):
+                total = spent + cache.cost(decoded, new)
+                if total < best:
+                    extend(decoded | new, total, slots_left - 1)
+
+    extend(frozenset({instance.source}), 0.0, T)
+    return best
 
 
 def exhaustive_partition(instance: Instance, ordering: Ordering, T: int,
@@ -39,21 +87,10 @@ def exhaustive_partition(instance: Instance, ordering: Ordering, T: int,
         raise ValueError(f"need at least one slot, got T={T}")
     if len(ordering.order) != instance.n or ordering.order[0] != instance.source:
         raise ValueError("ordering must cover all nodes and start at the source")
-    if cache is None:
-        cache = SlotCache(instance)
-    order = ordering.order
     target = _target_position(instance, ordering)
-    best = math.inf
-    for mid in itertools.combinations_with_replacement(range(1, target + 1), T - 1):
-        ks = (1, *mid, target)
-        total = 0.0
-        for a, b in zip(ks, ks[1:]):
-            if b > a:
-                total += cache.cost(frozenset(order[:a]), frozenset(order[a:b]))
-            if total >= best or math.isinf(total):
-                break
-        best = min(best, total)
-    return best
+    # each slot decodes the next stretch of the ordering, up to the target
+    return _cheapest_chain(instance, T, cache or SlotCache(instance), lambda decoded: (
+        frozenset(ordering.order[len(decoded):j]) for j in range(len(decoded) + 1, target + 1)))
 
 
 def exhaustive_global(instance: Instance, T: int,
@@ -61,7 +98,7 @@ def exhaustive_global(instance: Instance, T: int,
     """Minimum cost over every chain of strictly growing decoded sets.
 
     Slot t transmits from the whole decoded set and picks any nonempty set
-    of new receivers; recursion stops once the destinations are covered.
+    of new receivers; a chain stops once the destinations are covered.
     This searches all decode orders at once, so it equals the minimum of
     dmect_go over every ordering.
     """
@@ -70,27 +107,10 @@ def exhaustive_global(instance: Instance, T: int,
             f"exhaustive_global capped at n <= {GLOBAL_CAP_N}; got n={instance.n}")
     if T < 1:
         raise ValueError(f"need at least one slot, got T={T}")
-    if cache is None:
-        cache = SlotCache(instance)
-    everyone = frozenset(range(instance.n))
-
-    def best_from(decoded: frozenset, slots_left: int) -> float:
-        if instance.destinations <= decoded:
-            return 0.0
-        if slots_left == 0:
-            return math.inf
-        rest = sorted(everyone - decoded)
-        best = math.inf
-        for size in range(1, len(rest) + 1):
-            for new in itertools.combinations(rest, size):
-                step = cache.cost(decoded, frozenset(new))
-                if step >= best:
-                    continue
-                tail = best_from(decoded | frozenset(new), slots_left - 1)
-                best = min(best, step + tail)
-        return best
-
-    return best_from(frozenset({instance.source}), T)
+    # each slot decodes any nonempty set of the nodes still waiting
+    return _cheapest_chain(instance, T, cache or SlotCache(instance), lambda decoded: (
+        frozenset(new) for size in range(1, instance.n)
+        for new in itertools.combinations(sorted(set(range(instance.n)) - decoded), size)))
 
 
 def exact_integral_slot(problem: SlotProblem) -> float:

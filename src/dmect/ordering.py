@@ -8,45 +8,22 @@ source-gain ordering, which is provably optimal for two slots.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 
 import numpy as np
 
 from .errors import CapExceededError, DisconnectedError
 from .model import Instance, Ordering
-from .schedule import SlotCache, dmect_go, link_power_matrix
+from .schedule import SlotCache, _hop_dp, dmect_go, link_power_matrix
 
 BRUTE_FORCE_CAP = 8
 
 
-def shortest_path_distances(weights: np.ndarray, source: int) -> np.ndarray:
-    """Dijkstra over a dense nonnegative weight matrix; inf marks no edge."""
-    n = weights.shape[0]
-    dist = np.full(n, np.inf)
-    dist[source] = 0.0
-    done = np.zeros(n, dtype=bool)
-    heap = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        row = weights[u]
-        for v in range(n):
-            if done[v] or not np.isfinite(row[v]):
-                continue
-            nd = d + row[v]
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
-
-
 def dijkstra_ordering(instance: Instance) -> Ordering:
     """Nodes ascending by shortest-path distance from the source on the
-    direct-link power graph; ties break on the node index."""
-    dist = shortest_path_distances(link_power_matrix(instance), instance.source)
+    direct-link power graph (the DP's hop-bounded recursion at n - 1 hops,
+    enough for any simple path); ties break on the node index."""
+    dist = _hop_dp(link_power_matrix(instance), instance.source, instance.n - 1)[0][:, -1]
     unreachable = {i for i in range(instance.n) if not np.isfinite(dist[i])}
     if unreachable:
         raise DisconnectedError(f"nodes {sorted(unreachable)} unreachable from source",

@@ -99,13 +99,11 @@ def solve_slot(problem: SlotProblem) -> PowerAllocation:
     _check_reachable(problem)
     gamma = float(problem.gains.max())
     gains = problem.gains / gamma
-    if problem.accumulation is Accumulation.EA:
-        q = math.expm1(problem.theta) * _covering_lp(gains)
-    else:
-        q = _mia_barrier(gains, problem.theta)
+    ea = problem.accumulation is Accumulation.EA
+    q = _covering_lp(gains) if ea else _mia_barrier(gains, problem.theta)
     # an overflowed power is +inf on purpose: no finite schedule loses by skipping it
     with np.errstate(over="ignore"):
-        p = q / gamma
+        p = (math.expm1(problem.theta) * q if ea else q) / gamma
     powers = {s: float(v) for s, v in zip(problem.senders, p) if v > 0.0}
     return PowerAllocation.from_powers(powers)
 

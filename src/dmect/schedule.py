@@ -11,9 +11,10 @@ most T hops over prefix lengths (Bellman's bounded-hop recursion):
 
 with C[1][0] = 0, where cp is the one-slot optimum from solve_slot and the
 zero-cost k = j term is a slot spent waiting. Unicast under energy
-accumulation is the same recursion on the direct-link power graph. Slot
-optima depend only on the sender/receiver sets, so they are memoized; the
-DP stays within the O(n^2 T) slot-solve budget and typically far below it.
+accumulation, and the distances behind the shortest-path ordering, are the
+same recursion on the direct-link power graph. Slot optima depend only on
+the sender/receiver sets, so they are memoized; the DP stays within the
+O(n^2 T) slot-solve budget and typically far below it.
 """
 
 from __future__ import annotations
@@ -30,11 +31,13 @@ from .power import SlotProblem, solve_slot
 
 
 def link_power_matrix(instance: Instance) -> np.ndarray:
-    """Direct-link power w(i -> j) = (e^theta - 1) / h_ij; inf where h is zero."""
+    """Direct-link power w(i -> j) = (e^theta - 1) / h_ij; inf where h is zero
+    and 0 on the diagonal, since staying put is a slot spent waiting."""
     alpha = math.expm1(instance.theta)
     # an overflowed power is +inf on purpose: no finite schedule loses by skipping it
     with np.errstate(divide="ignore", over="ignore"):
         w = alpha / instance.gains
+    np.fill_diagonal(w, 0.0)
     return w
 
 
@@ -105,10 +108,12 @@ def _hop_dp(w: np.ndarray, start: int, T: int) -> tuple[np.ndarray, np.ndarray]:
     costs = np.full((n, T + 1), np.inf)
     pred = np.zeros((n, T + 1), dtype=int)
     costs[start, 0] = 0.0
-    for t in range(1, T + 1):
-        via = costs[:, t - 1, None] + w
-        pred[:, t] = np.argmin(via, axis=0)
-        costs[:, t] = via.min(axis=0)
+    # an overflowed sum is +inf on purpose, like an overflowed power
+    with np.errstate(over="ignore"):
+        for t in range(1, T + 1):
+            via = costs[:, t - 1, None] + w
+            pred[:, t] = np.argmin(via, axis=0)
+            costs[:, t] = via.min(axis=0)
     return costs, pred
 
 
@@ -195,7 +200,6 @@ def unicast_ea(instance: Instance, dest: int, T: int) -> UnicastResult:
         raise ValueError(f"need at least one slot, got T={T}")
 
     w = link_power_matrix(instance)
-    np.fill_diagonal(w, 0.0)
     costs, pred = _hop_dp(w, instance.source, T)
     total = float(costs[dest, T])
     if not math.isfinite(total):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +59,16 @@ def test_gen_rejects_tiny_networks(capsys):
     code, _, err = run(capsys, "gen", "--n", "1", "--seed", "0")
     assert code == 3
     assert "n >= 2" in err
+
+
+@pytest.mark.parametrize("field", ["--width", "--height", "--eta"])
+def test_gen_rejects_non_finite_fields(capsys, tmp_path, field):
+    out = tmp_path / "g.json"
+    code, _, err = run(capsys, "gen", "--n", "5", "--seed", "1", field, "inf",
+                       "--out", str(out))
+    assert code == 3
+    assert "finite" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_gen_out_dir_env(capsys, tmp_path, monkeypatch):
@@ -240,6 +251,54 @@ def test_solve_ea_near_the_float_limit_skips_overflowed_slots(capsys, tmp_path):
     assert verify_schedule(load_instance(path), schedule_from_dict(payload["schedule"]))
     # with one slot every schedule costs more than the float range
     assert run(capsys, "solve", str(path), "--t", "1", "--solver", "noncoop")[0] == 2
+
+
+@pytest.mark.parametrize("seed,extra,cost", [
+    (0, (), 2.01684078e306),
+    (0, ("--mode", "unicast", "--dest", "19"), 5.6459107e305),
+    (27, (), 1.49662819e306),
+], ids=["broadcast-seed0", "unicast-seed0", "broadcast-seed27"])
+def test_solve_near_the_float_limit_warns_nothing(capsys, tmp_path, seed, extra, cost):
+    # sums and ea powers that overflow are +inf on purpose, without a warning
+    path = tmp_path / "hot.json"
+    assert run(capsys, "gen", "--n", "20", "--seed", str(seed), "--theta", "700",
+               "--out", str(path))[0] == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = run(capsys, "solve", str(path), "--t", "3", *extra)
+    assert code == 0
+    assert [str(w.message) for w in caught] == []
+    assert json.loads(out)["cost"] == pytest.approx(cost, rel=1e-8)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("destinations", 5), ("theta", None), (None, None), ("n", 5.5),
+    ("theta", 10 ** 400), ("gains", {"a": 1}), ("positions", [{"a": 1}]),
+], ids=["destinations-int", "theta-null", "top-level-list", "n-float",
+        "theta-huge-int", "gains-object", "positions-objects"])
+def test_malformed_instance_file_is_exit_3(capsys, tmp_path, field, value):
+    d = instance_to_dict(topo(5, seed=1))
+    if field is None:
+        d = [d]                # a top-level list instead of an object
+    else:
+        d[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("order", [5, [[0], [1]]], ids=["int", "nested-lists"])
+def test_malformed_ordering_file_is_exit_3(capsys, inst_file, tmp_path, order):
+    path = tmp_path / "order.json"
+    path.write_text(json.dumps(order))
+    code, out, err = run(capsys, "solve", inst_file, "--ordering", f"file:{path}")
+    assert code == 3
+    assert out == ""
+    assert err == "error: ordering file must be a list of integers\n"
 
 
 def test_solve_usage_errors(capsys, inst_file, tmp_path):

@@ -52,6 +52,18 @@ def test_config_validation():
         TopologyConfig(n=3, eta=2.0, seed=0, width=-1.0)
     with pytest.raises(ValueError, match="theta"):
         TopologyConfig(n=3, eta=2.0, seed=0, theta=-0.5)
+    # non-finite fields: no position can be drawn, or every gain is zero
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="exponent"):
+            TopologyConfig(n=3, eta=bad, seed=0)
+        with pytest.raises(ValueError, match="dimensions"):
+            TopologyConfig(n=3, eta=2.0, seed=0, width=bad)
+        with pytest.raises(ValueError, match="dimensions"):
+            TopologyConfig(n=3, eta=2.0, seed=0, height=bad)
+    # the one theta rule of the model: e^theta - 1 must stay finite
+    for bad in (800.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="theta"):
+            TopologyConfig(n=3, eta=2.0, seed=0, theta=bad)
 
 
 def test_pair_gain_mean_follows_path_loss():
